@@ -2,15 +2,15 @@
 
 The package splits a small Hermitian Hamiltonian into a solvable diagonal
 part plus a strictly off-diagonal residual coupling, evaluates the
-resulting time-evolution series order by order through confluent divided
-differences of the phase function, and builds the improved (renormalized-
+resulting time-evolution series order by order as the blocks of one
+block-Toeplitz matrix exponential, and builds the improved (renormalized-
 frequency) approximations in which secular growth is resummed into
 corrected level energies.
 """
 
 from __future__ import annotations
 
-from .ddkernel import NodeList, dd_exp, dd_exp_batch, dd_exp_parts
+from .ddkernel import NodeList, dd_exp, dd_exp_parts
 from .improved import (
     GoldenRuleInput,
     RevisionEnergies,
@@ -70,7 +70,6 @@ __all__ = [
     "__version__",
     "amplitude_order",
     "dd_exp",
-    "dd_exp_batch",
     "dd_exp_parts",
     "diagonalize",
     "enumerate_catalog",

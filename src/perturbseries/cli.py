@@ -85,7 +85,6 @@ class RunConfig:
     t_steps: int = 101
     redivision: bool = True
     g_orders: tuple[int, ...] | None = None
-    compensated: bool = False
     tol_deg: float = DEFAULT_DEGENERACY_TOL
     initial_level: int = 0
     final_level: int = 0
@@ -259,13 +258,12 @@ def _run_evolve(cfg: RunConfig) -> None:
     if not 0 <= cfg.initial_level < n:
         raise ValueError(f"initial level {cfg.initial_level} outside 0..{n - 1}")
     ts = cfg.time_grid()
-    grid = _truncated_sum_grid(sys_split, cfg.order, ts, compensated=cfg.compensated)
+    grid = _truncated_sum_grid(sys_split, cfg.order, ts)
     amps = grid[:, :, cfg.initial_level]
     settings = _common_settings(cfg) | _grid_settings(cfg)
     settings |= {
         "order": cfg.order,
         "initial-level": cfg.initial_level,
-        "compensated-sum": "on" if cfg.compensated else "off",
         "basis": "redivided working basis",
     }
     header = ["t"]
@@ -287,11 +285,10 @@ def _run_compare(cfg: RunConfig) -> None:
     sys_split = _load_system(cfg)
     solution = diagonalize(sys_split)
     ts = cfg.time_grid()
-    usual = _truncated_sum_grid(sys_split, cfg.order, ts, compensated=cfg.compensated)
+    usual = _truncated_sum_grid(sys_split, cfg.order, ts)
     settings = _common_settings(cfg) | _grid_settings(cfg)
     settings |= {
         "order": cfg.order,
-        "compensated-sum": "on" if cfg.compensated else "off",
         "g-orders": "per-equation" if cfg.g_orders is None else ",".join(map(str, cfg.g_orders)),
     }
     lines = _header_lines(cfg, settings)
@@ -504,9 +501,6 @@ _no_redivision_option = click.option(
     is_flag=True,
     help="Skip redivision (keep raw energies and the full perturbation).",
 )
-_compensated_option = click.option(
-    "--compensated-sum", is_flag=True, help="Kahan-compensated path summation."
-)
 
 
 def _grid_options(fn):
@@ -537,7 +531,6 @@ def main() -> None:
 @click.option("--initial", type=click.IntRange(min=0), default=0, show_default=True)
 @_grid_options
 @_no_redivision_option
-@_compensated_option
 @_tol_deg_option
 def evolve_cmd(
     input_path: str,
@@ -548,7 +541,6 @@ def evolve_cmd(
     t_end: float,
     t_steps: int,
     no_redivision: bool,
-    compensated_sum: bool,
     tol_deg: float,
 ) -> None:
     """Evolve a basis state with the truncated series."""
@@ -563,7 +555,6 @@ def evolve_cmd(
             t_end=t_end,
             t_steps=t_steps,
             redivision=not no_redivision,
-            compensated=compensated_sum,
             tol_deg=tol_deg,
         )
     )
@@ -587,7 +578,6 @@ def evolve_cmd(
 )
 @_grid_options
 @_no_redivision_option
-@_compensated_option
 @_tol_deg_option
 def compare_cmd(
     input_path: str,
@@ -598,7 +588,6 @@ def compare_cmd(
     t_end: float,
     t_steps: int,
     no_redivision: bool,
-    compensated_sum: bool,
     tol_deg: float,
 ) -> None:
     """Compare truncated and improved series against the exact propagator."""
@@ -613,7 +602,6 @@ def compare_cmd(
             t_end=t_end,
             t_steps=t_steps,
             redivision=not no_redivision,
-            compensated=compensated_sum,
             tol_deg=tol_deg,
         )
     )

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = ["NodeList", "dd_exp", "dd_exp_batch", "dd_exp_parts"]
+__all__ = ["NodeList", "dd_exp", "dd_exp_parts"]
 
 #: Taylor truncation order for the scaled exponential.  With the scaled
 #: norm at or below 0.5 the series remainder is 0.5^14/14! ~ 7e-17, far
@@ -101,11 +101,6 @@ def dd_exp(node_list: NodeList) -> complex:
     (divided differences are symmetric in their nodes).
     """
     return _dd_value(node_list.nodes, node_list.t)
-
-
-def dd_exp_batch(node_lists: Sequence[NodeList]) -> list[complex]:
-    """Element-wise dd_exp; output order matches input order."""
-    return [dd_exp(nl) for nl in node_lists]
 
 
 def _phi_derivatives(y: float, others: list[tuple[float, int]], up_to: int) -> list[float]:

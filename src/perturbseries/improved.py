@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import simpson
 
 from .model import IncompleteDegeneracyRemoval, SplitSystem
 from .series import AmplitudeMatrix
@@ -36,6 +35,18 @@ __all__ = [
     "improved_transition_probability",
     "revision_energies",
 ]
+
+
+def simpson(y: NDArray[np.float64], *, x: NDArray[np.float64]) -> float:
+    """Composite Simpson quadrature (``scipy.integrate.simpson``).
+
+    SciPy is imported on the first call: only the golden-rule revision
+    integrates, and ``scipy.integrate`` takes most of the package's import time.
+    """
+    from scipy.integrate import simpson as scipy_simpson
+
+    return scipy_simpson(y, x=x)
+
 
 # sin^2(x)/x^2 falls below 1e-4 of its peak for |x| > 100, i.e. for
 # detunings beyond 200/T.  The quadrature window must reach at least

@@ -2,10 +2,12 @@
 
 Each order-l amplitude matrix is a sum over length-l index paths of a
 coupling product times a confluent divided difference of the phase
-function over the energies visited.  The divided difference is symmetric
-in its nodes, so paths are grouped by the multiset of interior levels
-before the kernel is evaluated: the grouped weights are t-independent and
-the kernel runs once per multiset instead of once per path.
+function over the energies visited.  Summed over all paths, it is one block
+of a matrix exponential: block (0, l) of exp(-i*t*M), where M is block
+upper-bidiagonal with diag(E') on the diagonal and g above it.  All orders
+0..L at all requested times come from one batched evaluation of that
+exponential, so the cost is polynomial in the order instead of growing
+with the number of paths.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .ddkernel import _dd_value
+from .ddkernel import _SCALE_LIMIT, _TAYLOR_ORDER
 from .model import SplitSystem
 
 __all__ = [
@@ -83,99 +85,71 @@ class StateVector:
         return float(np.linalg.norm(self.coefficients))
 
 
-class _Accumulator:
-    """Plain or Kahan-compensated complex summation with fixed add order."""
+def _amplitude_blocks(sys: SplitSystem, L: int, ts: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """Amplitude matrices of orders 0..L at each time, shape (L + 1, T, N, N).
 
-    __slots__ = ("_sum", "_comp", "_compensated")
+    Block (0, l) of exp(-i*t*M), for the block upper-bidiagonal M with
+    diag(E') on the diagonal and g above it, is the order-l amplitude
+    matrix (Van Loan 1978).  M is block Toeplitz, and block upper-triangular
+    Toeplitz matrices multiply like polynomials in the block shift taken
+    modulo its (L+1)-th power, so only the first block row is carried: block
+    l of a product x*y is sum_{i+j=l} x_i @ y_j.  Block 0 stays diagonal and
+    is carried as a vector.
 
-    def __init__(self, compensated: bool) -> None:
-        self._sum = 0.0 + 0.0j
-        self._comp = 0.0 + 0.0j
-        self._compensated = compensated
-
-    def add(self, value: complex) -> None:
-        if not self._compensated:
-            self._sum += value
-            return
-        y = value - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-
-    @property
-    def total(self) -> complex:
-        return self._sum
-
-
-def _interior_weights(
-    g: NDArray[np.complex128], order: int, start: int, compensated: bool
-) -> dict[tuple[int, tuple[int, ...]], complex]:
-    """Sum coupling products over all length-`order` paths leaving `start`.
-
-    Keys are (end level, sorted tuple of interior levels); the value is the
-    sum of prod_j g[path_j, path_{j+1}] over every path in that class.
-    Paths are walked depth-first in lexicographic order and any zero
-    coupling factor prunes the whole subtree, so exact sparsity in g is
-    exploited without thresholds.
+    The exponential is the kernel's mean-shifted Taylor scaling and
+    squaring, with the scaling chosen per time.  Block l is homogeneous of
+    degree l in g, so only the diagonal part sets the scaling, and the
+    Taylor degree grows with L so that block L is truncated at the same
+    relative order as block 0.
     """
-    n = g.shape[0]
-    acc: dict[tuple[int, tuple[int, ...]], _Accumulator] = {}
-    interiors: list[int] = []
+    energies = np.asarray(sys.energies_redivided, dtype=np.float64)
+    g = np.asarray(sys.g, dtype=np.complex128)
+    ts = np.asarray(ts, dtype=np.float64)
+    n, times = energies.shape[0], ts.shape[0]
+    mu = float(energies.mean())
+    centered = energies - mu
+    reach = np.abs(ts) * float(np.max(np.abs(centered)))
+    squarings = np.zeros(times, dtype=np.int64)
+    over = reach > _SCALE_LIMIT
+    squarings[over] = np.ceil(np.log2(reach[over] / _SCALE_LIMIT))
+    # Times sorted by squaring count, so each squaring pass works on a
+    # trailing slice; an increasing grid of |t| is already in this order.
+    order = np.argsort(squarings, kind="stable")
+    squarings, ts = squarings[order], ts[order]
+    step = -1j * ts / 2.0**squarings
+    diag = step[:, None] * centered
 
-    def extend(level: int, depth: int, product: complex) -> None:
-        if depth == order:
-            key = (level, tuple(sorted(interiors)))
-            slot = acc.get(key)
-            if slot is None:
-                slot = acc[key] = _Accumulator(compensated)
-            slot.add(product)
-            return
-        row = g[level]
-        last_step = depth + 1 == order
-        for nxt in range(n):
-            val = row[nxt]
-            if val == 0.0:
-                continue
-            if last_step:
-                extend(nxt, depth + 1, product * val)
+    # Horner form of the truncated Taylor series of the scaled matrix, whose
+    # first block row is (diag(diag), step * g).  Highest block first: the
+    # new block l reads the old blocks l and l - 1.
+    out = np.zeros((L + 1, times, n, n), dtype=np.complex128)
+    r0 = np.ones((times, n), dtype=np.complex128)
+    for k in range(_TAYLOR_ORDER + L, 0, -1):
+        for l in range(L, 0, -1):
+            if l == 1:
+                below = r0[:, :, None] * g
             else:
-                interiors.append(nxt)
-                extend(nxt, depth + 1, product * val)
-                interiors.pop()
+                below = (out[l - 1].reshape(-1, n) @ g).reshape(times, n, n)
+            out[l] *= diag[:, None, :]
+            out[l] += step[:, None, None] * below
+            out[l] /= k
+        r0 = 1.0 + r0 * diag / k
 
-    extend(start, 0, 1.0 + 0.0j)
-    return {key: slot.total for key, slot in acc.items()}
+    for done in range(int(squarings[-1]) if times else 0):
+        first = int(np.searchsorted(squarings, done, side="right"))
+        a0, blocks = r0[first:], out[:, first:]
+        for l in range(L, 0, -1):
+            acc = a0[:, :, None] * blocks[l] + blocks[l] * a0[:, None, :]
+            for i in range(1, l):
+                acc += blocks[i] @ blocks[l - i]
+            blocks[l] = acc
+        r0[first:] = a0 * a0
 
-
-def _order_values(
-    energies: NDArray[np.float64],
-    g: NDArray[np.complex128],
-    order: int,
-    ts: NDArray[np.float64],
-    compensated: bool,
-) -> NDArray[np.complex128]:
-    """Amplitude matrices for one order over a time grid, shape (T, N, N)."""
-    n = energies.shape[0]
-    out = np.zeros((ts.shape[0], n, n), dtype=np.complex128)
-    if order == 0:
-        idx = np.arange(n)
-        out[:, idx, idx] = np.exp(-1j * np.outer(ts, energies))
-        return out
-    for start in range(n):
-        weights = _interior_weights(g, order, start, compensated)
-        if not weights:
-            continue
-        ordered = sorted(weights)
-        node_arrays = [energies[(start, *interiors, end),] for end, interiors in ordered]
-        for it, t in enumerate(ts):
-            cells: dict[int, _Accumulator] = {}
-            for key, nodes in zip(ordered, node_arrays):
-                slot = cells.get(key[0])
-                if slot is None:
-                    slot = cells[key[0]] = _Accumulator(compensated)
-                slot.add(weights[key] * _dd_value(nodes, float(t)))
-            for end, slot in cells.items():
-                out[it, start, end] = slot.total
+    out[1:] *= np.exp(-1j * mu * ts)[:, None, None]
+    idx = np.arange(n)
+    out[0][:, idx, idx] = np.exp(-1j * np.outer(ts, energies))
+    if not np.array_equal(order, np.arange(times)):
+        out = out[:, np.argsort(order)]
     return out
 
 
@@ -192,7 +166,6 @@ def amplitude_order(
     t: float,
     *,
     l_max: int = DEFAULT_L_MAX,
-    compensated: bool = False,
 ) -> AmplitudeMatrix:
     """Order-l amplitude matrix of the evolution expansion at time t.
 
@@ -201,10 +174,7 @@ def amplitude_order(
     product of coupling elements along the path.
     """
     _check_order(l, l_max)
-    energies = np.asarray(sys.energies_redivided, dtype=np.float64)
-    g = np.asarray(sys.g, dtype=np.complex128)
-    ts = np.array([float(t)])
-    values = _order_values(energies, g, l, ts, compensated)[0]
+    values = _amplitude_blocks(sys, l, np.array([float(t)]))[l, 0]
     return AmplitudeMatrix(order=l, t=float(t), values=values)
 
 
@@ -215,7 +185,6 @@ def evolve_truncated(
     L: int,
     *,
     l_max: int = DEFAULT_L_MAX,
-    compensated: bool = False,
 ) -> StateVector:
     """Apply the expansion truncated at order L to an initial state."""
     _check_order(L, l_max)
@@ -225,12 +194,7 @@ def evolve_truncated(
         )
     if psi0.norm == 0.0:
         raise ValueError("initial state has zero norm")
-    energies = np.asarray(sys.energies_redivided, dtype=np.float64)
-    g = np.asarray(sys.g, dtype=np.complex128)
-    ts = np.array([float(t)])
-    total = np.zeros((sys.dimension, sys.dimension), dtype=np.complex128)
-    for l in range(L + 1):
-        total += _order_values(energies, g, l, ts, compensated)[0]
+    total = _truncated_sum_grid(sys, L, np.array([float(t)]))[0]
     return StateVector(coefficients=total @ psi0.coefficients)
 
 
@@ -242,7 +206,6 @@ def transition_amplitude(
     L: int,
     *,
     l_max: int = DEFAULT_L_MAX,
-    compensated: bool = False,
 ) -> complex:
     """Truncated amplitude for the transition from_level -> to_level."""
     _check_order(L, l_max)
@@ -250,33 +213,16 @@ def transition_amplitude(
     for name, idx in (("from_level", from_level), ("to_level", to_level)):
         if not 0 <= idx < n:
             raise ValueError(f"{name} {idx} outside 0..{n - 1}")
-    energies = np.asarray(sys.energies_redivided, dtype=np.float64)
-    g = np.asarray(sys.g, dtype=np.complex128)
-    ts = np.array([float(t)])
-    value = 0.0 + 0.0j
-    for l in range(L + 1):
-        value += _order_values(energies, g, l, ts, compensated)[0][to_level, from_level]
-    return complex(value)
+    total = _truncated_sum_grid(sys, L, np.array([float(t)]))[0]
+    return complex(total[to_level, from_level])
 
 
 def _truncated_sum_grid(
-    sys: SplitSystem,
-    L: int,
-    ts: NDArray[np.float64],
-    *,
-    compensated: bool = False,
+    sys: SplitSystem, L: int, ts: NDArray[np.float64]
 ) -> NDArray[np.complex128]:
     """Sum of orders 0..L over a time grid, shape (T, N, N).
 
-    Internal helper for grid consumers (the command-line driver): the
-    path-grouping weights are computed once per order and reused for every
-    time sample.
+    Internal helper for grid consumers (the command-line driver): all times
+    go through one batched block exponential.
     """
-    energies = np.asarray(sys.energies_redivided, dtype=np.float64)
-    g = np.asarray(sys.g, dtype=np.complex128)
-    ts = np.asarray(ts, dtype=np.float64)
-    n = energies.shape[0]
-    total = np.zeros((ts.shape[0], n, n), dtype=np.complex128)
-    for l in range(L + 1):
-        total += _order_values(energies, g, l, ts, compensated)
-    return total
+    return _amplitude_blocks(sys, L, ts).sum(axis=0)

@@ -30,7 +30,6 @@ from numpy.typing import NDArray
 
 from .ddkernel import _dd_value, dd_exp_parts
 from .model import SplitSystem
-from .series import _interior_weights
 
 __all__ = [
     "TermCatalog",
@@ -343,6 +342,43 @@ def eval_closed_term(
     return _eval_term(sys, label, t, gamma, gamma_prime)
 
 
+def _interior_weights(
+    g: NDArray[np.complex128], order: int, start: int
+) -> dict[tuple[int, tuple[int, ...]], complex]:
+    """Sum coupling products over all length-`order` paths leaving `start`.
+
+    Keys are (end level, sorted tuple of interior levels); the value is the
+    sum of prod_j g[path_j, path_{j+1}] over every path in that class.
+    Paths are walked depth-first in lexicographic order and any zero
+    coupling factor prunes the whole subtree, so exact sparsity in g is
+    exploited without thresholds.
+    """
+    n = g.shape[0]
+    weights: dict[tuple[int, tuple[int, ...]], complex] = {}
+    interiors: list[int] = []
+
+    def extend(level: int, depth: int, product: complex) -> None:
+        if depth == order:
+            key = (level, tuple(sorted(interiors)))
+            weights[key] = weights.get(key, 0j) + product
+            return
+        row = g[level]
+        last_step = depth + 1 == order
+        for nxt in range(n):
+            val = row[nxt]
+            if val == 0.0:
+                continue
+            if last_step:
+                extend(nxt, depth + 1, product * val)
+            else:
+                interiors.append(nxt)
+                extend(nxt, depth + 1, product * val)
+                interiors.pop()
+
+    extend(start, 0, 1.0 + 0.0j)
+    return weights
+
+
 def split_t_power_parts(
     sys: SplitSystem, l: int, t: float
 ) -> dict[tuple[str, str], NDArray[np.complex128]]:
@@ -373,7 +409,7 @@ def split_t_power_parts(
     }
 
     for start in range(n):
-        weights = _interior_weights(g, l, start, compensated=False)
+        weights = _interior_weights(g, l, start)
         for end, interiors in sorted(weights):
             w = weights[(end, interiors)]
             nodes = energies[(start, *interiors, end),]

@@ -24,7 +24,13 @@ def spaced_energies(
     min_gap: float = 0.15,
     span: float = 3.0,
 ) -> np.ndarray:
-    """Sorted level energies with every neighbour gap above min_gap."""
+    """Sorted level energies with every neighbour gap above min_gap.
+
+    Draws are rejected until the gaps fit, so arguments with no such
+    spectrum, (n - 1) * min_gap >= span, raise instead of looping forever.
+    """
+    if n > 1 and (n - 1) * min_gap >= span:
+        raise ValueError(f"{n} levels with gaps above {min_gap} do not fit in a span of {span}")
     while True:
         e = np.sort(rng.uniform(0.0, span, size=n))
         if n == 1 or float(np.min(np.diff(e))) > min_gap:

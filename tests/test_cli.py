@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import perturbseries
 from perturbseries.cli import RunConfig, _parse_g_orders, main, parse_spec_file, run
 from perturbseries.improved import GoldenRuleInput, golden_rule
 from perturbseries.model import SystemSpec, redivide
@@ -456,3 +461,16 @@ def test_run_rejects_unknown_command(tmp_path):
 def test_run_config_time_grid_validation():
     with pytest.raises(ValueError, match="at least one point"):
         RunConfig(command="evolve", t_steps=0).time_grid()
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, perturbseries.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(perturbseries.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"

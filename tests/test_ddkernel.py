@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from perturbseries.ddkernel import NodeList, dd_exp, dd_exp_batch, dd_exp_parts
+from perturbseries.ddkernel import NodeList, dd_exp, dd_exp_parts
 
 
 def naive_partial_fraction(nodes, t):
@@ -131,11 +131,6 @@ def test_magnitude_bound(rng):
         t = 7.9
         bound = abs(t) ** (m - 1) / math.factorial(m - 1)
         assert abs(dd_exp(NodeList(nodes=nodes, t=t))) <= bound * (1 + 1e-12)
-
-
-def test_batch_matches_scalar(rng):
-    lists = [NodeList(nodes=rng.uniform(0, 2, size=m), t=1.1) for m in (1, 2, 4)]
-    assert dd_exp_batch(lists) == [dd_exp(nl) for nl in lists]
 
 
 def test_nodelist_rejects_empty_and_nonfinite():

@@ -16,6 +16,14 @@ from perturbseries.model import (
 )
 
 
+def test_spaced_energies_refuses_levels_that_cannot_fit(rng):
+    with pytest.raises(ValueError, match="do not fit"):
+        spaced_energies(rng, 24)  # 23 gaps of 0.15 exceed the default span of 3
+    with pytest.raises(ValueError, match="do not fit"):
+        spaced_energies(rng, 3, min_gap=1.0, span=2.0)
+    assert spaced_energies(rng, 1, min_gap=5.0, span=1.0).shape == (1,)
+
+
 def _random_spec(rng, n, norm=0.1):
     return SystemSpec(
         energies=spaced_energies(rng, n),

@@ -11,12 +11,15 @@ from perturbseries.oracle import diagonalize
 from perturbseries.series import (
     AmplitudeMatrix,
     StateVector,
+    _amplitude_blocks,
+    _truncated_sum_grid,
     amplitude_order,
     evolve_truncated,
     transition_amplitude,
 )
 
-from helpers import random_system, two_state
+from helpers import random_hermitian, random_system, two_state
+from pathsum import path_sum_amplitude
 
 
 def corner_block_oracle(sys, order: int, t: float) -> np.ndarray:
@@ -139,13 +142,59 @@ def test_entry_magnitude_bound(rng):
         assert np.max(np.abs(vals)) <= bound * (1 + 1e-12)
 
 
-def test_compensated_summation_agrees(rng):
-    sys = random_system(rng, 5, norm=0.1)
-    t = 8.0
-    for order in (2, 4):
-        plain = amplitude_order(sys, order, t).values
-        comp = amplitude_order(sys, order, t, compensated=True).values
-        np.testing.assert_allclose(comp, plain, rtol=1e-13, atol=1e-16)
+def _assert_within(got, ref, rel=1e-12):
+    """Entrywise |got - ref| <= rel * max(1, |ref|)."""
+    bound = rel * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(got - ref) <= bound), float(np.max(np.abs(got - ref) / bound))
+
+
+def _blocks(sys, t: float, top: int = 6) -> list[np.ndarray]:
+    return [_amplitude_blocks(sys, top, np.array([t]))[l, 0] for l in range(top + 1)]
+
+
+# n = 6 only at two times: its order-6 path sum walks 6^6 paths per start level
+@pytest.mark.parametrize(
+    ("n", "t"),
+    [(n, t) for n in (2, 4) for t in (2.3, -3.1, 40.0, 200.0, -200.0)] + [(6, 40.0), (6, -200.0)],
+)
+def test_block_route_matches_path_sum_and_expm(rng, n, t):
+    sys = random_system(rng, n, norm=0.1)
+    for order, got in enumerate(_blocks(sys, t)):
+        _assert_within(got, path_sum_amplitude(sys, order, t))
+        _assert_within(got, corner_block_oracle(sys, order, t))
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9])
+@pytest.mark.parametrize("t", [3.0, 40.0, 200.0, -200.0])
+def test_block_route_at_near_confluent_levels(rng, gap, t):
+    # levels 1 and 2 sit `gap` apart and are coupled to each other and to level 0
+    energies = np.array([0.0, 1.0, 1.0 + gap, 2.2])
+    sys = SplitSystem(
+        energies_redivided=energies,
+        g=random_hermitian(rng, 4, 0.1) * (1.0 - np.eye(4)),
+        basis_rotation=np.eye(4),
+        energies_original=energies,
+    )
+    for order, got in enumerate(_blocks(sys, t)):
+        _assert_within(got, path_sum_amplitude(sys, order, t))
+        _assert_within(got, corner_block_oracle(sys, order, t))
+
+
+@pytest.mark.parametrize("t", [0.0, 1.7, -9.3, 200.0])
+def test_order_one_diagonal_is_exactly_zero(rng, t):
+    sys = random_system(rng, 5)
+    a1 = _amplitude_blocks(sys, 6, np.array([t]))[1, 0]
+    assert np.all(np.diag(a1) == 0.0)
+
+
+def test_grid_equals_sum_of_orders(rng):
+    sys = random_system(rng, 4, norm=0.2)
+    ts = np.array([0.0, 0.3, -1.1, 7.5, 40.0, 3.0])
+    L = 4
+    grid = _truncated_sum_grid(sys, L, ts)
+    for i, t in enumerate(ts):
+        total = sum(amplitude_order(sys, l, t).values for l in range(L + 1))
+        np.testing.assert_allclose(grid[i], total, rtol=1e-13, atol=1e-15)
 
 
 def test_evolve_matches_transition_amplitudes(rng):
