@@ -135,9 +135,10 @@ def _amplitude_blocks(sys: SplitSystem, L: int, ts: NDArray[np.float64]) -> NDAr
             out[l] /= k
         r0 = 1.0 + r0 * diag / k
 
-    for done in range(int(squarings[-1]) if times else 0):
+    for done in range(int(squarings.max(initial=0))):
         first = int(np.searchsorted(squarings, done, side="right"))
         a0, blocks = r0[first:], out[:, first:]
+        # Block l of the square is sum_{i+j=l} r_i @ r_j; highest block first.
         for l in range(L, 0, -1):
             acc = a0[:, :, None] * blocks[l] + blocks[l] * a0[:, None, :]
             for i in range(1, l):
@@ -222,7 +223,7 @@ def _truncated_sum_grid(
 ) -> NDArray[np.complex128]:
     """Sum of orders 0..L over a time grid, shape (T, N, N).
 
-    Internal helper for grid consumers (the command-line driver): all times
+    Internal helper for grid consumers (the command-line front end): all times
     go through one batched block exponential.
     """
     return _amplitude_blocks(sys, L, ts).sum(axis=0)
