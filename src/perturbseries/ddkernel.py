@@ -33,9 +33,12 @@ from numpy.typing import NDArray
 
 __all__ = ["NodeList", "dd_exp", "dd_exp_parts"]
 
-#: Taylor truncation order for the scaled exponential.  With the scaled
-#: norm at or below 0.5 the series remainder is 0.5^14/14! ~ 7e-17, far
-#: below the 1e-13 kernel budget.
+#: Taylor truncation order for the scaled exponential of five or fewer
+#: nodes.  With the scaled norm at or below 0.5 the series remainder is
+#: 0.5^14/14! ~ 7e-17, far below the 1e-13 kernel budget.  The divided
+#: difference over m nodes is itself of order m - 1 in the scaled matrix,
+#: so `_dd_value` adds one degree per node beyond five to keep its relative
+#: truncation error where it is at five nodes.
 _TAYLOR_ORDER = 13
 _SCALE_LIMIT = 0.5
 
@@ -92,7 +95,7 @@ def _dd_value(nodes: NDArray[np.float64], t: float) -> complex:
     # Horner form of the truncated Taylor series for exp(a).
     eye = np.eye(m, dtype=np.complex128)
     result = eye.copy()
-    for k in range(_TAYLOR_ORDER, 0, -1):
+    for k in range(_TAYLOR_ORDER + max(0, m - 5), 0, -1):
         result = eye + (a / k) @ result
     for _ in range(squarings):
         result = result @ result

@@ -7,7 +7,9 @@ real corrections, here called revision energies, and the low-order
 amplitudes are rewritten with the shifted energies in every exponent while
 keeping the original energy denominators.  This module computes the
 revision hierarchy through fifth order, evaluates the rewritten amplitudes
-of orders zero through three, and exposes the derived quantities that make
+of orders zero through three from residue weights of the resolvent
+expansion (built once per system and order, then one matrix product per
+time), and exposes the derived quantities that make
 the scheme useful: an improved two-level transition probability, a revised
 golden-rule transition rate for a tabulated continuum, and stationary
 perturbed energies/states.
@@ -15,6 +17,7 @@ perturbed energies/states.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -69,7 +72,7 @@ def _gap(energies: NDArray[np.float64], a: int, b: int) -> float:
 
     Callers only ask for gaps that multiply a nonzero coupling product,
     so a vanishing gap means the redivision step failed to remove a
-    degeneracy that the closed forms cannot tolerate.
+    degeneracy that the perturbed-state sums cannot tolerate.
     """
     d = float(energies[a] - energies[b])
     if d == 0.0:
@@ -251,6 +254,126 @@ def _resolve_g_orders(order: int, g_orders: Sequence[int] | None) -> tuple[int, 
     return chosen
 
 
+def _refuse_coupled_ties(e: NDArray[np.float64], g: NDArray[np.complex128], order: int) -> None:
+    """Refuse exact ties that the order-``order`` weights would divide by.
+
+    The weights put only level k at the pole E'_k, so a distinct level
+    tied with k must not sit on a coupling chain through k: a tie joined
+    by a nonzero chain of at most ``order`` couplings is refused.  From
+    order two on, a diagonal coupling left by skipping redivision is a
+    tie of a level with itself and is refused as well.
+    """
+    if order >= 2:
+        kept = np.flatnonzero(np.diagonal(g))
+        if kept.size:
+            raise IncompleteDegeneracyRemoval(
+                f"level {kept[0]} keeps a diagonal coupling inside a coupled chain"
+            )
+    coupled = g != 0
+    np.fill_diagonal(coupled, False)
+    reach = np.eye(e.shape[0], dtype=bool)
+    for _ in range(order):
+        reach |= reach @ coupled
+    ties = e[:, np.newaxis] == e[np.newaxis, :]
+    np.fill_diagonal(ties, False)
+    hits = np.argwhere(ties & reach)
+    if hits.size:
+        a, b = hits[0]
+        raise IncompleteDegeneracyRemoval(
+            f"levels {a} and {b} are exactly degenerate inside a coupled chain"
+        )
+
+
+def _residue_factors(
+    e: NDArray[np.float64], g: NDArray[np.complex128], order: int
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """Rank-one factors of the residue weights of one amplitude order.
+
+    The weight of exp(-i E~_k t) in entry (a, b) is the residue at
+    z = E'_k of R (g R)^order, R = diag(1/(z - E')).  Near E'_k, with
+    u = z - E'_k, R = P_k / u + sum_{p>=1} (-u)^(p-1) Q_k^p, where P_k
+    projects on level k and Q_k = diag(1/(E'_k - E'_j)), zero at j = k
+    (Kato's reduced-resolvent expansion).  The residue sums the products
+    of one Laurent coefficient per R slot whose u-powers add up to -1: in
+    powers p_i = (u-power + 1), the compositions of ``order`` into
+    ``order + 1`` slots, where p_i = 0 selects P_k.
+
+    Every such product is rank one in each k: the slots before the first
+    P_k give a column C[:, k], the slots after the last give a row
+    R[k, :], and the closed loops between consecutive P_k give a scalar,
+    folded into the row.  Products sharing a column are summed.  Returns
+    the columns and rows stacked, (n, K*n) and (K*n, n), so that the
+    amplitude for phases phi is (C * tile(phi, K)) @ R.
+    """
+    n = e.shape[0]
+    diff = e[:, np.newaxis] - e[np.newaxis, :]
+    q = np.zeros((n, n))
+    np.divide(1.0, diff, out=q, where=diff != 0.0)
+    # Slot factor of power p for level k, indexed [k, j].
+    slot = {p: (-1.0) ** (p - 1) * q**p for p in range(1, order + 1)}
+    eye = np.eye(n, dtype=np.complex128)
+    columns: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
+    rows: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
+
+    def column(powers: tuple[int, ...]) -> NDArray[np.complex128]:
+        # (D_p0 g D_p1 g ... D_pm g)[:, k] for every k at once.
+        if powers not in columns:
+            columns[powers] = slot[powers[0]].T * (g @ column(powers[1:]))
+        return columns[powers]
+
+    def row(powers: tuple[int, ...]) -> NDArray[np.complex128]:
+        # (g D_p0 g D_p1 ... g D_pm)[k, :] for every k at once.
+        if powers not in rows:
+            rows[powers] = (row(powers[:-1]) @ g) * slot[powers[-1]]
+        return rows[powers]
+
+    summed: dict[tuple[int, ...], NDArray[np.complex128]] = {}
+    for powers in itertools.product(range(order + 1), repeat=order + 1):
+        if sum(powers) != order:
+            continue
+        poles = [i for i, p in enumerate(powers) if p == 0]
+        right = row(powers[poles[-1] + 1 :])
+        for a, b in zip(poles, poles[1:]):
+            loop = np.sum(row(powers[a + 1 : b]) * g.T, axis=1)
+            right = loop[:, np.newaxis] * right
+        left = powers[: poles[0]]
+        summed[left] = summed[left] + right if left in summed else right
+    return (
+        np.hstack([column(left) for left in summed]),
+        np.vstack(list(summed.values())),
+    )
+
+
+def _improved_sum_grid(
+    sys: SplitSystem,
+    orders: Sequence[int],
+    ts: NDArray[np.float64],
+    g_orders: Sequence[int] | None = None,
+) -> NDArray[np.complex128]:
+    """Sum of the improved amplitudes of the given orders, shape (T, n, n).
+
+    The revisions are computed once, at the deepest order any amplitude
+    order absorbs, and the residue weights once per order; each time then
+    costs one matrix product.
+    """
+    chosen = [_resolve_g_orders(l, g_orders) for l in orders]
+    e = sys.energies_redivided
+    deepest = max((max(c) for c in chosen if c), default=0)
+    revisions = revision_energies(sys, deepest) if deepest else None
+    _refuse_coupled_ties(e, sys.g, max(orders))
+    columns, rows, shifted = [], [], []
+    for l, c in zip(orders, chosen):
+        col, row = _residue_factors(e, sys.g, l)
+        columns.append(col)
+        rows.append(row)
+        shifted.append(np.tile(revisions.e_tilde(c) if c else e, col.shape[1] // e.shape[0]))
+    columns_all, rows_all, energies_all = np.hstack(columns), np.vstack(rows), np.concatenate(shifted)
+    out = np.empty((len(ts), e.shape[0], e.shape[0]), dtype=np.complex128)
+    for i, t in enumerate(ts):
+        out[i] = (columns_all * np.exp(-1j * energies_all * float(t))) @ rows_all
+    return out
+
+
 def improved_amplitude(
     sys: SplitSystem,
     order: int,
@@ -262,174 +385,21 @@ def improved_amplitude(
 
     The rewritten forms replace every oscillatory exponent by the shifted
     energies while the algebraic denominators keep the plain redivided
-    energies.  By default each amplitude order absorbs the revision
-    orders it can support: order 0 uses revisions 2-5, order 1 uses 2-4,
-    order 2 uses 2-3 and order 3 uses only 2.  Pass ``g_orders`` to
-    override (an empty sequence turns the scheme off, which reproduces
-    the non-secular part of the plain truncated series).
+    energies: the weight of each shifted phase is a residue of the
+    order-``order`` resolvent product (see ``_residue_factors``).  By
+    default each amplitude order absorbs the revision orders it can
+    support: order 0 uses revisions 2-5, order 1 uses 2-4, order 2 uses
+    2-3 and order 3 uses only 2.  Pass ``g_orders`` to override (an empty
+    sequence turns the scheme off, which reproduces the non-secular part
+    of the plain truncated series).
     """
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise TypeError("order must be an integer")
     if not 0 <= order <= 3:
         raise ValueError("improved amplitudes are available for orders 0..3")
-    order = int(order)
-    chosen = _resolve_g_orders(order, g_orders)
-    if chosen:
-        shifted = revision_energies(sys, max(chosen)).e_tilde(chosen)
-    else:
-        shifted = sys.energies_redivided
     tt = float(t)
-    e = sys.energies_redivided
-    g = sys.g
-    n = sys.dimension
-    phases = np.exp(-1j * shifted * tt)
-    values = np.zeros((n, n), dtype=np.complex128)
-    if order == 0:
-        np.fill_diagonal(values, phases)
-    elif order == 1:
-        _improved_first(values, e, g, phases)
-    elif order == 2:
-        _improved_second(values, e, g, phases)
-    else:
-        _improved_third(values, e, g, phases)
-    return AmplitudeMatrix(order=order, t=tt, values=values)
-
-
-def _improved_first(
-    values: NDArray[np.complex128],
-    e: NDArray[np.float64],
-    g: NDArray[np.complex128],
-    phases: NDArray[np.complex128],
-) -> None:
-    n = e.shape[0]
-    for gamma in range(n):
-        for gp in range(n):
-            if gp == gamma:
-                continue
-            c = g[gamma, gp]
-            if c == 0:
-                continue
-            values[gamma, gp] = (phases[gamma] - phases[gp]) / _gap(e, gamma, gp) * c
-
-
-def _improved_second(
-    values: NDArray[np.complex128],
-    e: NDArray[np.float64],
-    g: NDArray[np.complex128],
-    phases: NDArray[np.complex128],
-) -> None:
-    n = e.shape[0]
-    for gamma in range(n):
-        for g1 in range(n):
-            prod = g[gamma, g1] * g[g1, gamma]
-            if prod == 0:
-                continue
-            d1 = _gap(e, gamma, g1)
-            values[gamma, gamma] -= (phases[gamma] - phases[g1]) / (d1 * d1) * prod
-        for gp in range(n):
-            if gp == gamma:
-                continue
-            acc = 0.0 + 0.0j
-            for g1 in range(n):
-                prod = g[gamma, g1] * g[g1, gp]
-                if prod == 0:
-                    continue
-                d1 = _gap(e, gamma, g1)
-                d2 = _gap(e, g1, gp)
-                d3 = _gap(e, gamma, gp)
-                acc += (
-                    phases[gamma] / (d1 * d3)
-                    - phases[g1] / (d1 * d2)
-                    + phases[gp] / (d3 * d2)
-                ) * prod
-            values[gamma, gp] += acc
-
-
-def _improved_third(
-    values: NDArray[np.complex128],
-    e: NDArray[np.float64],
-    g: NDArray[np.complex128],
-    phases: NDArray[np.complex128],
-) -> None:
-    n = e.shape[0]
-    for gamma in range(n):
-        # Closed three-step chains: the diagonal contribution.
-        acc = 0.0 + 0.0j
-        for g1 in range(n):
-            c1 = g[gamma, g1]
-            if c1 == 0:
-                continue
-            d1 = _gap(e, gamma, g1)
-            for g2i in range(n):
-                prod = c1 * g[g1, g2i] * g[g2i, gamma]
-                if prod == 0:
-                    continue
-                d2 = _gap(e, gamma, g2i)
-                d12 = _gap(e, g1, g2i)
-                acc += (
-                    -phases[gamma] / (d1 * d2 * d2)
-                    - phases[gamma] / (d1 * d1 * d2)
-                    + phases[g1] / (d1 * d1 * d12)
-                    - phases[g2i] / (d2 * d2 * d12)
-                ) * prod
-        values[gamma, gamma] += acc
-        for gp in range(n):
-            if gp == gamma:
-                continue
-            cgp = g[gamma, gp]
-            if cgp != 0:
-                d3 = _gap(e, gamma, gp)
-                # Chains that revisit gamma before hopping to the end level.
-                acc = 0.0 + 0.0j
-                for g1 in range(n):
-                    prod = g[gamma, g1] * g[g1, gamma]
-                    if prod == 0:
-                        continue
-                    d1 = _gap(e, gamma, g1)
-                    acc += (1.0 / (d1 * d3 * d3) + 1.0 / (d1 * d1 * d3)) * prod
-                values[gamma, gp] -= phases[gamma] * acc * cgp
-                # Loops hanging off the end level, carrying its phase.
-                # Without this family, zeroing every revision energy would
-                # fail to recover the pure-exponential part of the plain
-                # third-order amplitude.
-                acc = 0.0 + 0.0j
-                for g1 in range(n):
-                    prod = g[gp, g1] * g[g1, gp]
-                    if prod == 0:
-                        continue
-                    e1 = _gap(e, g1, gp)
-                    acc += (1.0 / (d3 * e1 * e1) + 1.0 / (d3 * d3 * e1)) * prod
-                values[gamma, gp] += phases[gp] * acc * cgp
-            # Open three-step chains from gamma to the end level.
-            acc = 0.0 + 0.0j
-            for g1 in range(n):
-                c1 = g[gamma, g1]
-                if c1 == 0:
-                    continue
-                d1 = _gap(e, gamma, g1)
-                for g2i in range(n):
-                    prod = c1 * g[g1, g2i] * g[g2i, gp]
-                    if prod == 0:
-                        continue
-                    piece = 0.0 + 0.0j
-                    if g2i != gamma:
-                        piece += phases[gamma] / (
-                            d1 * _gap(e, gamma, g2i) * _gap(e, gamma, gp)
-                        )
-                    if g1 != gp:
-                        piece -= phases[g1] / (
-                            d1 * _gap(e, g1, g2i) * _gap(e, g1, gp)
-                        )
-                    if g2i != gamma:
-                        piece += phases[g2i] / (
-                            _gap(e, gamma, g2i) * _gap(e, g1, g2i) * _gap(e, g2i, gp)
-                        )
-                    if g1 != gp:
-                        piece -= phases[gp] / (
-                            _gap(e, gamma, gp) * _gap(e, g1, gp) * _gap(e, g2i, gp)
-                        )
-                    acc += piece * prod
-            values[gamma, gp] += acc
+    values = _improved_sum_grid(sys, (int(order),), np.array([tt]), g_orders)[0]
+    return AmplitudeMatrix(order=int(order), t=tt, values=values)
 
 
 def _check_level(sys: SplitSystem, level: int, name: str) -> int:
@@ -438,6 +408,42 @@ def _check_level(sys: SplitSystem, level: int, name: str) -> int:
     if not 0 <= level < sys.dimension:
         raise ValueError(f"{name} {level} outside 0..{sys.dimension - 1}")
     return int(level)
+
+
+def _transition_probabilities(
+    sys: SplitSystem,
+    from_level: int,
+    to_level: int,
+    durations: Sequence[float],
+    shifted: NDArray[np.float64] | None = None,
+) -> list[dict[str, float]]:
+    """``improved_transition_probability`` at each duration.
+
+    ``shifted`` (the energies shifted by revisions 2-4) is computed here
+    unless given, so a time grid computes the revisions once.  The
+    arithmetic per duration is scalar, so every grid gives the same bits.
+    """
+    beta = _check_level(sys, from_level, "from_level")
+    gamma = _check_level(sys, to_level, "to_level")
+    if beta == gamma:
+        raise ValueError("transition requires two distinct levels")
+    e = sys.energies_redivided
+    omega = float(e[gamma] - e[beta])
+    if omega == 0.0:
+        raise ValueError("transition pair is exactly degenerate")
+    if shifted is None:
+        shifted = revision_energies(sys, 4).e_tilde((2, 3, 4))
+    omega_shifted = float(shifted[gamma] - shifted[beta])
+    gsq = float(abs(sys.g[gamma, beta]) ** 2)
+    half = 0.5 * omega
+    out = []
+    for duration in durations:
+        tt = float(duration)
+        p_improved = gsq * math.sin(0.5 * omega_shifted * tt) ** 2 / (half * half)
+        p_usual = gsq * math.sin(0.5 * omega * tt) ** 2 / (half * half)
+        delta_p = 2.0 * gsq * (math.cos(omega * tt) - math.cos(omega_shifted * tt)) / (omega * omega)
+        out.append({"p_improved": p_improved, "p_usual": p_usual, "delta_p": delta_p})
+    return out
 
 
 def improved_transition_probability(
@@ -454,23 +460,7 @@ def improved_transition_probability(
     first-order result) and ``delta_p``, the difference written in the
     cosine form.  ``p_improved == p_usual + delta_p`` holds identically.
     """
-    beta = _check_level(sys, from_level, "from_level")
-    gamma = _check_level(sys, to_level, "to_level")
-    if beta == gamma:
-        raise ValueError("transition requires two distinct levels")
-    e = sys.energies_redivided
-    omega = float(e[gamma] - e[beta])
-    if omega == 0.0:
-        raise ValueError("transition pair is exactly degenerate")
-    shifted = revision_energies(sys, 4).e_tilde((2, 3, 4))
-    omega_shifted = float(shifted[gamma] - shifted[beta])
-    gsq = float(abs(sys.g[gamma, beta]) ** 2)
-    tt = float(duration)
-    half = 0.5 * omega
-    p_improved = gsq * math.sin(0.5 * omega_shifted * tt) ** 2 / (half * half)
-    p_usual = gsq * math.sin(0.5 * omega * tt) ** 2 / (half * half)
-    delta_p = 2.0 * gsq * (math.cos(omega * tt) - math.cos(omega_shifted * tt)) / (omega * omega)
-    return {"p_improved": p_improved, "p_usual": p_usual, "delta_p": delta_p}
+    return _transition_probabilities(sys, from_level, to_level, (duration,))[0]
 
 
 @dataclass(frozen=True)

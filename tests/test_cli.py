@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 import perturbseries
 from perturbseries.cli import RunConfig, _parse_g_orders, main, parse_spec_file, run
-from perturbseries.improved import GoldenRuleInput, golden_rule
+from perturbseries.improved import GoldenRuleInput, golden_rule, improved_transition_probability
 from perturbseries.model import SystemSpec, redivide
 from perturbseries.series import amplitude_order
 
@@ -241,6 +241,22 @@ def test_two_state_report(tmp_path, runner):
     assert float(row[3]) == pytest.approx(p_exact, rel=1e-12)
     assert float(row[4]) == pytest.approx(-0.0099, abs=1e-15)
     assert float(row[5]) == pytest.approx(1.0099, abs=1e-15)
+
+
+def test_two_state_report_matches_the_per_time_call(tmp_path, runner):
+    # The report computes the revisions once per run; every probability must
+    # still carry the bits of the public per-time function.
+    out = tmp_path / "pair.csv"
+    args = ["--e1", "0.3", "--e2", "1.45", "--v", "0.07", "--t-end", "60", "--t-steps", "31"]
+    result = runner.invoke(main, ["two-state", "--output", str(out), *args])
+    assert result.exit_code == 0, result.output
+    _, _, rows = read_report(out)
+    sys = two_state(v=0.07, e1=0.3, e2=1.45)
+    assert len(rows) == 31
+    for row in rows:
+        probs = improved_transition_probability(sys, 0, 1, float(row[0]))
+        assert row[1] == repr(probs["p_usual"])
+        assert row[2] == repr(probs["p_improved"])
 
 
 def test_compare_improved_wins_at_long_time(tmp_path, runner):

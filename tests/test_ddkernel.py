@@ -124,6 +124,28 @@ def test_clustered_nodes_against_mpmath():
     assert got == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("m", [5, 7, 9, 12])
+def test_relative_accuracy_grows_no_worse_with_node_count(m):
+    # The entry over m nodes is of order m - 1 in the scaled matrix, so a
+    # fixed Taylor degree loses relative accuracy as nodes are added (it
+    # reached 1.7e-6 at 12 nodes with degree 13).
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        nodes = rng.uniform(-1.0, 1.0, size=m)
+        for t in (0.05, 0.4, 1.3, 3.0):
+            with mpmath.workdps(80):
+                total = mpmath.mpc(0)
+                for j, x in enumerate(nodes):
+                    denom = mpmath.mpf(1)
+                    for i, y in enumerate(nodes):
+                        if i != j:
+                            denom *= mpmath.mpf(float(x)) - mpmath.mpf(float(y))
+                    total += mpmath.exp(-1j * mpmath.mpf(float(x)) * t) / denom
+                expected = complex(total)
+            got = dd_exp(NodeList(nodes, t))
+            assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
 def test_magnitude_bound(rng):
     # |f[x_1..x_m]| <= max|f^(m-1)|/(m-1)! = |t|^(m-1)/(m-1)! for real nodes.
     for m in (2, 3, 5, 7):
