@@ -10,7 +10,7 @@ corrected level energies.
 
 from __future__ import annotations
 
-from .ddkernel import NodeList, dd_exp, dd_exp_parts
+from .ddkernel import NodeList, dd_exp
 from .improved import (
     GoldenRuleInput,
     RevisionEnergies,
@@ -70,7 +70,6 @@ __all__ = [
     "__version__",
     "amplitude_order",
     "dd_exp",
-    "dd_exp_parts",
     "diagonalize",
     "enumerate_catalog",
     "eval_closed_term",

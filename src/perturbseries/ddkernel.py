@@ -25,13 +25,12 @@ matrix with the level energies on the diagonal and the coupling above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
-from typing import Sequence
+from math import factorial
 
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = ["NodeList", "dd_exp", "dd_exp_parts"]
+__all__ = ["NodeList", "dd_exp"]
 
 #: Taylor truncation order for the scaled exponential of five or fewer
 #: nodes.  With the scaled norm at or below 0.5 the series remainder is
@@ -182,73 +181,3 @@ def dd_exp(node_list: NodeList) -> complex:
     (divided differences are symmetric in their nodes).
     """
     return _dd_value(node_list.nodes, node_list.t)
-
-
-def _phi_derivatives(y: float, others: list[tuple[float, int]], up_to: int) -> list[float]:
-    """Derivatives phi^(0..up_to) at y of phi(x) = prod (x - z)^(-mu_z).
-
-    Uses the logarithmic-derivative recursion: with L = log(phi),
-    phi^(n) = sum_{k<n} C(n-1, k) phi^(k) L^(n-k), and
-    L^(m)(y) = -sum_z mu_z * (-1)^(m-1) * (m-1)! / (y - z)^m.
-    """
-    phi0 = 1.0
-    for z, mult in others:
-        phi0 *= (y - z) ** (-mult)
-    log_derivs = [0.0]  # placeholder for m = 0 (unused)
-    for m in range(1, up_to + 1):
-        val = 0.0
-        sign = -1.0 if (m - 1) % 2 else 1.0
-        for z, mult in others:
-            val -= mult * sign * factorial(m - 1) / (y - z) ** m
-        log_derivs.append(val)
-    phi = [phi0]
-    for n in range(1, up_to + 1):
-        acc = 0.0
-        for k in range(n):
-            acc += comb(n - 1, k) * phi[k] * log_derivs[n - k]
-        phi.append(acc)
-    return phi
-
-
-def dd_exp_parts(nodes: NDArray[np.float64] | Sequence[float]) -> list[tuple[int, float, float]]:
-    """Exact decomposition of the divided difference into t-power terms.
-
-    Returns triples (p, y, a) such that for every t
-
-        dd_exp(nodes, t) = sum over triples of  a * (-i*t)^p * e^{-i*y*t}.
-
-    This is the Hermite partial-fraction form of the divided difference:
-    each distinct node y of multiplicity mu contributes powers p < mu with
-    real coefficients built from derivatives of prod (x - z)^(-mu_z).
-
-    The coefficients grow like inverse powers of the node gaps, so this
-    route is for structural analysis (splitting amplitudes by t-power),
-    not for evaluation at clustered nodes — dd_exp handles that regime.
-    """
-    arr = np.atleast_1d(np.asarray(nodes, dtype=np.float64))
-    values: list[float] = []
-    counts: list[int] = []
-    for x in arr:
-        x = float(x)
-        if values and x == values[-1]:
-            counts[-1] += 1
-            continue
-        # group by exact value; nodes come from a finite energy alphabet
-        found = False
-        for i, v in enumerate(values):
-            if x == v:
-                counts[i] += 1
-                found = True
-                break
-        if not found:
-            values.append(x)
-            counts.append(1)
-
-    parts: list[tuple[int, float, float]] = []
-    for i, (y, mult) in enumerate(zip(values, counts)):
-        others = [(v, c) for j, (v, c) in enumerate(zip(values, counts)) if j != i]
-        phi = _phi_derivatives(y, others, mult - 1)
-        for p in range(mult):
-            coeff = phi[mult - 1 - p] / (factorial(p) * factorial(mult - 1 - p))
-            parts.append((p, y, coeff))
-    return parts

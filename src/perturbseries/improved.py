@@ -17,9 +17,8 @@ perturbed energies/states.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,21 +64,6 @@ _LITERAL_G_ORDERS: dict[int, tuple[int, ...]] = {
     2: (2, 3),
     3: (2,),
 }
-
-
-def _gap(energies: NDArray[np.float64], a: int, b: int) -> float:
-    """Energy difference ``E'_a - E'_b``, refusing an exact tie.
-
-    Callers only ask for gaps that multiply a nonzero coupling product,
-    so a vanishing gap means the redivision step failed to remove a
-    degeneracy that the perturbed-state sums cannot tolerate.
-    """
-    d = float(energies[a] - energies[b])
-    if d == 0.0:
-        raise IncompleteDegeneracyRemoval(
-            f"levels {a} and {b} are exactly degenerate inside a coupled chain"
-        )
-    return d
 
 
 @dataclass(frozen=True)
@@ -142,41 +126,31 @@ class RevisionEnergies:
         return out
 
 
-def _inverse_gaps(
-    energies: NDArray[np.float64],
-    g: NDArray[np.complex128],
-    gamma: int,
-    max_order: int,
-) -> NDArray[np.float64]:
-    """Vector of 1/(E'_gamma - E'_i) with excluded levels zeroed.
+def _refuse_tied_revisions(
+    e: NDArray[np.float64], g: NDArray[np.complex128], max_order: int
+) -> None:
+    """Refuse exact ties that a revision sum up to ``max_order`` divides by.
 
-    The reference level itself gets weight zero, which silently drops
-    every sum term that the index-inequality factors exclude.  An exact
-    energy tie with another level is tolerated only while that level
-    cannot enter a nonzero numerator: through third order the tied level
-    would need a direct coupling to ``gamma`` (forbidden after
-    redivision), while the fourth- and fifth-order chains reach
-    non-adjacent levels, so there any coupling at all on the tied level
-    is refused.
+    The inverse gaps drop every level tied with the reference level.
+    Through third order that is exact unless the tied level is coupled
+    to the reference level directly; the fourth- and fifth-order chains
+    reach non-adjacent levels, so there any coupling on it is refused.
     """
-    diff = energies[gamma] - energies
-    q = np.zeros_like(diff)
-    for i in range(diff.shape[0]):
-        if i == gamma:
-            continue
-        if diff[i] == 0.0:
-            if g[gamma, i] != 0:
-                raise IncompleteDegeneracyRemoval(
-                    f"levels {gamma} and {i} are exactly degenerate and directly coupled"
-                )
-            if max_order >= 4 and np.any(g[i, :] != 0):
-                raise IncompleteDegeneracyRemoval(
-                    f"level {i} is exactly degenerate with level {gamma} and still coupled; "
-                    "the fourth- and fifth-order revision sums would divide by zero"
-                )
-            continue
-        q[i] = 1.0 / diff[i]
-    return q
+    ties = e[:, np.newaxis] == e[np.newaxis, :]
+    np.fill_diagonal(ties, False)
+    direct = ties & (g != 0)
+    still = ties & np.any(g != 0, axis=1)[np.newaxis, :] if max_order >= 4 else direct
+    hits = np.argwhere(direct | still)
+    if hits.size:
+        gamma, i = hits[0]
+        if direct[gamma, i]:
+            raise IncompleteDegeneracyRemoval(
+                f"levels {gamma} and {i} are exactly degenerate and directly coupled"
+            )
+        raise IncompleteDegeneracyRemoval(
+            f"level {i} is exactly degenerate with level {gamma} and still coupled; "
+            "the fourth- and fifth-order revision sums would divide by zero"
+        )
 
 
 def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
@@ -187,8 +161,10 @@ def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     sum longer closed coupling chains that start and end at the same
     level, with products of inverse gaps measured from that level, minus
     the disconnected-product corrections that remove the reducible part.
-    All four are real for a Hermitian coupling matrix; the tiny imaginary
-    round-off actually discarded is reported in ``imag_residual``.
+    Row gamma of every array below belongs to reference level gamma, so
+    each sum runs for all levels at once.  All four are real for a
+    Hermitian coupling matrix; the tiny imaginary round-off actually
+    discarded is reported in ``imag_residual``.
     """
     if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
         raise TypeError("max_order must be an integer")
@@ -197,48 +173,34 @@ def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     energies = sys.energies_redivided
     g = sys.g
     n = sys.dimension
-    g2 = np.zeros(n)
-    g3 = np.zeros(n)
-    g4 = np.zeros(n)
-    g5 = np.zeros(n)
-    worst_imag = 0.0
-    for gamma in range(n):
-        q = _inverse_gaps(energies, g, gamma, int(max_order))
-        absq = np.abs(g[gamma, :]) ** 2
-        g2[gamma] = float(absq @ q)
-        if max_order < 3:
-            continue
-        v_out = g[gamma, :] * q  # leave gamma, one inverse gap per step
-        v_in = g[:, gamma] * q  # return to gamma, one inverse gap
-        val3 = complex(v_out @ g @ v_in)
-        g3[gamma] = val3.real
-        worst_imag = max(worst_imag, abs(val3.imag))
-        if max_order < 4:
-            continue
-        m_q = g * q[np.newaxis, :]
-        hop2 = v_out @ m_q  # two steps out of gamma
-        hop3 = hop2 @ m_q  # three steps
-        s1 = float(absq @ q)
-        s2 = float(absq @ (q * q))
-        val4 = complex(hop3 @ g[:, gamma]) - s2 * s1
-        g4[gamma] = val4.real
-        worst_imag = max(worst_imag, abs(val4.imag))
-        if max_order < 5:
-            continue
-        c21 = complex((g[gamma, :] * (q * q)) @ g @ v_in)
-        c12 = complex(v_out @ g @ (g[:, gamma] * (q * q)))
-        val5 = complex((hop3 @ m_q) @ g[:, gamma]) - (s2 * val3 + s1 * (c21 + c12))
-        g5[gamma] = val5.real
-        worst_imag = max(worst_imag, abs(val5.imag))
+    _refuse_tied_revisions(energies, g, int(max_order))
+    q = _reduced_resolvents(energies)
+    absq = np.abs(g) ** 2
+    s1 = np.sum(absq * q, axis=1)
+    sums = {order: np.zeros(n, dtype=np.complex128) for order in (3, 4, 5)}
+    if max_order >= 3:
+        v_out = g * q  # leave gamma, one inverse gap per step
+        v_in = g.T * q  # return to gamma, one inverse gap
+        hop1 = v_out @ g
+        sums[3] = np.sum(hop1 * v_in, axis=1)
+    if max_order >= 4:
+        hop3 = ((hop1 * q) @ g) * q  # three steps out of gamma
+        s2 = np.sum(absq * (q * q), axis=1)
+        sums[4] = np.sum(hop3 * g.T, axis=1) - s2 * s1
+    if max_order >= 5:
+        c21 = np.sum(((g * (q * q)) @ g) * v_in, axis=1)
+        c12 = np.sum(hop1 * (g.T * (q * q)), axis=1)
+        chain5 = np.sum(((hop3 @ g) * q) * g.T, axis=1)
+        sums[5] = chain5 - (s2 * sums[3] + s1 * (c21 + c12))
     return RevisionEnergies(
         energies=energies,
         h1=sys.diagonal_shift,
-        g2=g2,
-        g3=g3,
-        g4=g4,
-        g5=g5,
+        g2=s1,
+        g3=sums[3].real,
+        g4=sums[4].real,
+        g5=sums[5].real,
         max_order=int(max_order),
-        imag_residual=worst_imag,
+        imag_residual=max(float(np.max(np.abs(v.imag))) for v in sums.values()),
     )
 
 
@@ -257,9 +219,10 @@ def _resolve_g_orders(order: int, g_orders: Sequence[int] | None) -> tuple[int, 
 def _refuse_coupled_ties(e: NDArray[np.float64], g: NDArray[np.complex128], order: int) -> None:
     """Refuse exact ties that the order-``order`` weights would divide by.
 
-    The weights put only level k at the pole E'_k, so a distinct level
-    tied with k must not sit on a coupling chain through k: a tie joined
-    by a nonzero chain of at most ``order`` couplings is refused.  From
+    Tied levels share one pole, but the shifted phases and the revisions
+    behind them are per level, so a distinct level tied with k must not
+    sit on a coupling chain through k: a tie joined by a nonzero chain of
+    at most ``order`` couplings is refused.  From
     order two on, a diagonal coupling left by skipping redivision is a
     tie of a level with itself and is refused as well.
     """
@@ -284,36 +247,60 @@ def _refuse_coupled_ties(e: NDArray[np.float64], g: NDArray[np.complex128], orde
         )
 
 
-def _residue_factors(
-    e: NDArray[np.float64], g: NDArray[np.complex128], order: int
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Rank-one factors of the residue weights of one amplitude order.
+def _reduced_resolvents(e: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Inverse gaps q[k, j] = 1/(E'_k - E'_j), zero wherever the levels tie.
 
-    The weight of exp(-i E~_k t) in entry (a, b) is the residue at
-    z = E'_k of R (g R)^order, R = diag(1/(z - E')).  Near E'_k, with
-    u = z - E'_k, R = P_k / u + sum_{p>=1} (-u)^(p-1) Q_k^p, where P_k
-    projects on level k and Q_k = diag(1/(E'_k - E'_j)), zero at j = k
-    (Kato's reduced-resolvent expansion).  The residue sums the products
-    of one Laurent coefficient per R slot whose u-powers add up to -1: in
-    powers p_i = (u-power + 1), the compositions of ``order`` into
-    ``order + 1`` slots, where p_i = 0 selects P_k.
+    Row k is the diagonal of Q_k, the reduced resolvent at the pole E'_k.
+    """
+    diff = e[:, np.newaxis] - e[np.newaxis, :]
+    q = np.zeros(diff.shape)
+    np.divide(1.0, diff, out=q, where=diff != 0.0)
+    return q
+
+
+def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of ``slots`` non-negative integers summing to ``total``, in lexicographic order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, slots - 1):
+            yield (first, *rest)
+
+
+def _residue_factors(
+    e: NDArray[np.float64], g: NDArray[np.complex128], order: int, power: int = 0
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """Rank-one factors of one Laurent coefficient of an amplitude order.
+
+    The factors hold the u^-(power+1) Laurent coefficient at z = E'_k of
+    R (g R)^order, with R = diag(1/(z - E')) and u = z - E'_k; divided by
+    power!, it is the weight of (-i t)^power exp(-i E'_k t) in the
+    order-``order`` amplitude (power 0 gives the residue).  Near E'_k,
+    R = P_k / u + sum_{p>=1} (-u)^(p-1) Q_k^p, where P_k projects on level
+    k and Q_k = diag(1/(E'_k - E'_j)), zero wherever E'_j = E'_k (Kato's
+    reduced-resolvent expansion).  The coefficient sums the products of
+    one Laurent term per R slot whose u-powers add up to -(power+1): in
+    slot powers p_i = (u-power + 1), the compositions of
+    ``order - power`` into ``order + 1`` slots, where p_i = 0 selects P_k.
 
     Every such product is rank one in each k: the slots before the first
-    P_k give a column C[:, k], the slots after the last give a row
-    R[k, :], and the closed loops between consecutive P_k give a scalar,
-    folded into the row.  Products sharing a column are summed.  Returns
-    the columns and rows stacked, (n, K*n) and (K*n, n), so that the
-    amplitude for phases phi is (C * tile(phi, K)) @ R.
+    P_k give a column C[:, k] and the slots after the last give a row
+    R[k, :].  Between consecutive poles the pole of a tie group projects
+    on every level of the group, so each closed loop is a matrix over the
+    tied levels, applied to the row; for distinct levels it is diagonal.
+    Products sharing a column are summed.  Returns the columns and rows
+    stacked, (n, K*n) and (K*n, n), so that the coefficient matrix for
+    phases phi is (C * tile(phi, K)) @ R.
     """
-    n = e.shape[0]
-    diff = e[:, np.newaxis] - e[np.newaxis, :]
-    q = np.zeros((n, n))
-    np.divide(1.0, diff, out=q, where=diff != 0.0)
+    q = _reduced_resolvents(e)
+    ties = e[:, np.newaxis] == e[np.newaxis, :]
     # Slot factor of power p for level k, indexed [k, j].
     slot = {p: (-1.0) ** (p - 1) * q**p for p in range(1, order + 1)}
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(e.shape[0], dtype=np.complex128)
     columns: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
     rows: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
+    loops: dict[tuple[int, ...], NDArray[np.complex128]] = {}
 
     def column(powers: tuple[int, ...]) -> NDArray[np.complex128]:
         # (D_p0 g D_p1 g ... D_pm g)[:, k] for every k at once.
@@ -327,15 +314,18 @@ def _residue_factors(
             rows[powers] = (row(powers[:-1]) @ g) * slot[powers[-1]]
         return rows[powers]
 
+    def loop(powers: tuple[int, ...]) -> NDArray[np.complex128]:
+        # (g D_p0 ... g D_pm g)[k, k'] for tied k, k'; zero elsewhere.
+        if powers not in loops:
+            loops[powers] = (row(powers) @ g) * ties
+        return loops[powers]
+
     summed: dict[tuple[int, ...], NDArray[np.complex128]] = {}
-    for powers in itertools.product(range(order + 1), repeat=order + 1):
-        if sum(powers) != order:
-            continue
+    for powers in _compositions(order - power, order + 1):
         poles = [i for i, p in enumerate(powers) if p == 0]
         right = row(powers[poles[-1] + 1 :])
-        for a, b in zip(poles, poles[1:]):
-            loop = np.sum(row(powers[a + 1 : b]) * g.T, axis=1)
-            right = loop[:, np.newaxis] * right
+        for a, b in reversed(list(zip(poles, poles[1:]))):
+            right = loop(powers[a + 1 : b]) @ right
         left = powers[: poles[0]]
         summed[left] = summed[left] + right if left in summed else right
     return (
@@ -661,23 +651,18 @@ def improved_perturbed_state(
     e = sys.energies_redivided
     g = sys.g
     n = sys.dimension
+    # q drops the levels tied with beta: exact unless one reaches beta in one or two hops.
+    others = np.arange(n) != beta
+    to_beta = (g[:, beta] != 0) & others
+    tied = (e == e[beta]) & others
+    hits = np.flatnonzero(tied & (to_beta | ((g != 0) @ to_beta)))
+    if hits.size:
+        raise IncompleteDegeneracyRemoval(
+            f"levels {hits[0]} and {beta} are exactly degenerate inside a coupled chain"
+        )
+    q_beta = _reduced_resolvents(e)[beta]
     a0 = np.zeros(n, dtype=np.complex128)
     a0[beta] = 1.0
-    a1 = np.zeros(n, dtype=np.complex128)
-    a2 = np.zeros(n, dtype=np.complex128)
-    for gamma in range(n):
-        if gamma == beta:
-            continue
-        c = g[gamma, beta]
-        if c != 0:
-            a1[gamma] = -c / _gap(e, gamma, beta)
-        acc = 0.0 + 0.0j
-        for g1 in range(n):
-            if g1 == beta:
-                continue
-            prod = g[gamma, g1] * g[g1, beta]
-            if prod == 0:
-                continue
-            acc += prod / (_gap(e, gamma, beta) * _gap(e, g1, beta))
-        a2[gamma] = acc
+    a1 = q_beta * g[:, beta]
+    a2 = q_beta * (g @ a1)
     return {"a0": a0, "a1": a1, "a2": a2}

@@ -14,13 +14,14 @@ compact form is unambiguous.
 
 The catalogs for orders 4..6 are fixed reference lists shipped as fixture
 files; an enumeration rule (branch on a pair only when the accumulated
-equality/inequality constraints leave it undecided) reproduces them and
-is exposed for the lower orders and for cross-checking.
+equality/inequality constraints leave it undecided) gives orders 2 and 3,
+matches the lists of orders 4 and 5, and at order 6 only their count.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -28,8 +29,9 @@ from importlib import resources
 import numpy as np
 from numpy.typing import NDArray
 
-from .ddkernel import _dd_value, dd_exp_parts
-from .model import SplitSystem
+from .ddkernel import _dd_value
+from .improved import _residue_factors
+from .model import IncompleteDegeneracyRemoval, SplitSystem
 
 __all__ = [
     "TermCatalog",
@@ -342,43 +344,6 @@ def eval_closed_term(
     return _eval_term(sys, label, t, gamma, gamma_prime)
 
 
-def _interior_weights(
-    g: NDArray[np.complex128], order: int, start: int
-) -> dict[tuple[int, tuple[int, ...]], complex]:
-    """Sum coupling products over all length-`order` paths leaving `start`.
-
-    Keys are (end level, sorted tuple of interior levels); the value is the
-    sum of prod_j g[path_j, path_{j+1}] over every path in that class.
-    Paths are walked depth-first in lexicographic order and any zero
-    coupling factor prunes the whole subtree, so exact sparsity in g is
-    exploited without thresholds.
-    """
-    n = g.shape[0]
-    weights: dict[tuple[int, tuple[int, ...]], complex] = {}
-    interiors: list[int] = []
-
-    def extend(level: int, depth: int, product: complex) -> None:
-        if depth == order:
-            key = (level, tuple(sorted(interiors)))
-            weights[key] = weights.get(key, 0j) + product
-            return
-        row = g[level]
-        last_step = depth + 1 == order
-        for nxt in range(n):
-            val = row[nxt]
-            if val == 0.0:
-                continue
-            if last_step:
-                extend(nxt, depth + 1, product * val)
-            else:
-                interiors.append(nxt)
-                extend(nxt, depth + 1, product * val)
-                interiors.pop()
-
-    extend(start, 0, 1.0 + 0.0j)
-    return weights
-
-
 def split_t_power_parts(
     sys: SplitSystem, l: int, t: float
 ) -> dict[tuple[str, str], NDArray[np.complex128]]:
@@ -389,35 +354,36 @@ def split_t_power_parts(
     ``"D"`` (diagonal entries) or ``"N"`` (off-diagonal entries).  The six
     matrices sum to the order-l amplitude matrix.
 
-    The split uses the exact residue decomposition of each divided
-    difference into t-power times single-phase pieces, so it requires the
-    distinct redivided energies along any contributing path to be well
-    separated (exact ties are fine — they merge into one confluent node).
+    The part of power p holds, for each pole E'_k, the u^-(p+1) Laurent
+    coefficient of the resolvent product divided by p! (see
+    ``improved._residue_factors``); exactly tied levels share one pole.
+    These coefficients grow like gap^-(l-p) as two coupled levels close
+    in, and cancel in the total: near-confluent coupled levels give large
+    parts with a small sum, and the round-off of every part scales with
+    the parts, not with the amplitude.  From order 3 on, a tie coupled
+    directly (or a diagonal coupling left by skipping redivision) would
+    need t-powers above 2 and is refused.
     """
     if not 2 <= l <= _EVAL_MAX:
         raise ValueError(f"t-power split supports orders 2..{_EVAL_MAX}, got {l}")
     energies = np.asarray(sys.energies_redivided, dtype=np.float64)
     g = np.asarray(sys.g, dtype=np.complex128)
-    n = sys.dimension
     t = float(t)
-
-    power_names = {0: "e", 1: "te", 2: "t2e"}
-    out: dict[tuple[str, str], NDArray[np.complex128]] = {
-        (p, place): np.zeros((n, n), dtype=np.complex128)
-        for p in power_names.values()
-        for place in ("D", "N")
-    }
-
-    for start in range(n):
-        weights = _interior_weights(g, l, start)
-        for end, interiors in sorted(weights):
-            w = weights[(end, interiors)]
-            nodes = energies[(start, *interiors, end),]
-            place = "D" if start == end else "N"
-            for power, y, coeff in dd_exp_parts(nodes):
-                name = power_names.get(power)
-                if name is None:  # pragma: no cover - impossible for l <= 4
-                    raise RuntimeError(f"unexpected t-power {power} at order {l}")
-                value = w * coeff * (-1j * t) ** power * np.exp(-1j * y * t)
-                out[(name, place)][start, end] += value
+    hits = np.argwhere((energies[:, np.newaxis] == energies) & (g != 0))
+    if l >= 3 and hits.size:
+        a, b = hits[0]
+        pair = f"levels {a} and {b} are exactly degenerate and directly coupled"
+        if a == b:
+            pair = f"level {a} keeps a diagonal coupling"
+        raise IncompleteDegeneracyRemoval(
+            f"{pair}; the order-{l} split would need t-powers above 2"
+        )
+    diagonal = np.eye(sys.dimension, dtype=bool)
+    out: dict[tuple[str, str], NDArray[np.complex128]] = {}
+    for power, name in enumerate(("e", "te", "t2e")):
+        columns, rows = _residue_factors(energies, g, l, power)
+        phases = np.exp(-1j * energies * t) * (-1j * t) ** power / math.factorial(power)
+        part = (columns * np.tile(phases, columns.shape[1] // energies.shape[0])) @ rows
+        out[(name, "D")] = np.where(diagonal, part, 0.0)
+        out[(name, "N")] = np.where(diagonal, 0.0, part)
     return out

@@ -56,3 +56,32 @@ def two_state(v: complex = 0.1, e1: float = 0.0, e2: float = 1.0) -> SplitSystem
     """The standard coupled pair used throughout: diag [e1, e2] plus v on the corner."""
     h1 = np.array([[0.0, v], [np.conjugate(v), 0.0]], dtype=complex)
     return redivide(SystemSpec(energies=np.array([e1, e2], dtype=float), h1=h1))
+
+
+def chain_system(n: int, seed: int = 7) -> SplitSystem:
+    """Nearest-neighbour chain on a jittered ladder of levels 0.1 apart."""
+    rng = np.random.default_rng(seed)
+    energies = 0.1 * np.arange(n) + rng.uniform(-0.02, 0.02, size=n)
+    hop = 0.005 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+    h1 = np.diag(hop, 1) + np.diag(hop.conj(), -1)
+    return redivide(SystemSpec(energies=energies, h1=h1))
+
+
+def ladder_system(rng: np.random.Generator, n: int, *, norm: float = 0.1) -> SplitSystem:
+    """Dense coupling on levels whose neighbour gaps are drawn from [0.15, 0.45].
+
+    The levels are built in closed form, so any n is as cheap as n = 2.
+    """
+    energies = np.cumsum(rng.uniform(0.15, 0.45, size=n))
+    return redivide(SystemSpec(energies=energies, h1=random_hermitian(rng, n, norm)))
+
+
+def planted_system(energies, g) -> SplitSystem:
+    """A system taken as already redivided: the energies and coupling as given."""
+    e = np.array(energies, dtype=float)
+    return SplitSystem(
+        energies_redivided=e,
+        g=np.array(g, dtype=complex),
+        basis_rotation=np.eye(e.shape[0]),
+        energies_original=e,
+    )

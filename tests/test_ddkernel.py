@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from perturbseries.ddkernel import NodeList, dd_exp, dd_exp_parts
+from perturbseries.ddkernel import NodeList, dd_exp
+
+from tpower_paths import dd_exp_parts
 
 
 def naive_partial_fraction(nodes, t):

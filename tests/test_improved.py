@@ -27,7 +27,8 @@ from perturbseries.oracle import diagonalize, exact_transition_probability
 from perturbseries.series import amplitude_order
 from perturbseries.terms import split_t_power_parts
 
-from helpers import random_system, two_state
+from helpers import chain_system, ladder_system, planted_system, random_system, two_state
+from revision_loop import loop_revisions
 
 # ---------------------------------------------------------------------------
 # revision hierarchy
@@ -171,6 +172,60 @@ def test_degenerate_coupled_pair_refused():
     )
     with pytest.raises(IncompleteDegeneracyRemoval, match="directly coupled"):
         revision_energies(sys, 2)
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [
+        ladder_system(np.random.default_rng(1), 3),
+        ladder_system(np.random.default_rng(2), 7),
+        ladder_system(np.random.default_rng(3), 12, norm=0.3),
+        chain_system(32),
+    ],
+    ids=["ladder3", "ladder7", "ladder12", "chain32"],
+)
+def test_revisions_match_per_level_loop(sys):
+    # The all-levels matrix products against the per-level loop they
+    # replaced; each order within 1e-13 of its largest revision.
+    rev = revision_energies(sys, 5)
+    ref = loop_revisions(sys, 5)
+    for order in range(2, 6):
+        scale = float(np.max(np.abs(ref[order])))
+        assert np.max(np.abs(rev.revision(order) - ref[order])) <= 1e-13 * scale
+
+
+def _tie_cases():
+    """Four-level systems with exact ties in several coupling patterns."""
+    def links(pairs):
+        g = np.zeros((4, 4), dtype=complex)
+        for k, (a, b) in enumerate(pairs):
+            g[a, b] = 0.1 + 0.02j * k
+            g[b, a] = np.conj(g[a, b])
+        return g
+
+    return [
+        planted_system([0.0, 1.0, 0.0, 2.5], links([(0, 1), (1, 2), (1, 3)])),
+        planted_system([0.0, 1.0, 1.0, 2.5], links([(0, 1), (0, 2), (2, 3)])),
+        planted_system([0.0, 0.0, 1.0, 2.5], links([(0, 1), (1, 2), (2, 3)])),
+        planted_system([0.0, 1.0, 2.5, 0.0], links([(0, 1), (1, 2), (2, 3)])),
+        planted_system([1.0, 0.0, 2.5, 0.0], links([(0, 2), (2, 3)])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("max_order", [2, 3, 4, 5])
+def test_revision_refusals_match_per_level_loop(case, max_order):
+    sys = _tie_cases()[case]
+    try:
+        ref = loop_revisions(sys, max_order)
+    except IncompleteDegeneracyRemoval as exc:
+        with pytest.raises(IncompleteDegeneracyRemoval) as info:
+            revision_energies(sys, max_order)
+        assert str(info.value) == str(exc)
+        return
+    rev = revision_energies(sys, max_order)
+    for order in range(2, max_order + 1):
+        np.testing.assert_allclose(rev.revision(order), ref[order], rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -696,24 +751,62 @@ def test_perturbed_state_two_state():
     np.testing.assert_array_equal(res["a2"], [0.0, 0.0])
 
 
+def _projector_formulas(sys, beta):
+    """Textbook first- and second-order coefficients, zero-numerator terms skipped."""
+    e, g, n = sys.energies_redivided, sys.g, sys.dimension
+    a1 = np.zeros(n, dtype=complex)
+    a2 = np.zeros(n, dtype=complex)
+    for gamma in range(n):
+        if gamma == beta:
+            continue
+        if g[gamma, beta] != 0:
+            a1[gamma] = -g[gamma, beta] / (e[gamma] - e[beta])
+        a2[gamma] = sum(
+            g[gamma, g1] * g[g1, beta] / ((e[gamma] - e[beta]) * (e[g1] - e[beta]))
+            for g1 in range(n)
+            if g1 != beta and g[gamma, g1] * g[g1, beta] != 0
+        )
+    return a1, a2
+
+
 def test_perturbed_state_matches_projector_formulas(rng):
     sys = random_system(rng, 4)
-    e, g = sys.energies_redivided, sys.g
     beta = 1
     res = improved_perturbed_state(sys, beta)
     assert res["a1"][beta] == 0.0 and res["a2"][beta] == 0.0
+    a1, a2 = _projector_formulas(sys, beta)
     for gamma in range(4):
         if gamma == beta:
             continue
-        assert res["a1"][gamma] == pytest.approx(
-            -g[gamma, beta] / (e[gamma] - e[beta]), rel=1e-13
-        )
-        second = sum(
-            g[gamma, g1] * g[g1, beta] / ((e[gamma] - e[beta]) * (e[g1] - e[beta]))
-            for g1 in range(4)
-            if g1 != beta
-        )
-        assert res["a2"][gamma] == pytest.approx(second, rel=1e-12, abs=1e-16)
+        assert res["a1"][gamma] == pytest.approx(a1[gamma], rel=1e-13)
+        assert res["a2"][gamma] == pytest.approx(a2[gamma], rel=1e-12, abs=1e-16)
+
+
+def _tied_chain(hops: int):
+    """Five levels on a chain from level 0 to the level tied with it."""
+    e = [0.0, 1.0, 2.5, 3.1, 4.0]
+    e[hops] = 0.0
+    g = np.zeros((5, 5), dtype=complex)
+    for k in range(4):
+        g[k, k + 1] = 0.1 + 0.03j * (k + 1)
+        g[k + 1, k] = np.conj(g[k, k + 1])
+    return planted_system(e, g)
+
+
+@pytest.mark.parametrize("hops", [1, 2])
+def test_perturbed_state_refuses_close_ties(hops):
+    message = f"levels {hops} and 0 are exactly degenerate inside a coupled chain"
+    with pytest.raises(IncompleteDegeneracyRemoval, match=message):
+        improved_perturbed_state(_tied_chain(hops), 0)
+
+
+def test_perturbed_state_tolerates_tie_three_hops_away():
+    sys = _tied_chain(3)
+    res = improved_perturbed_state(sys, 0)
+    a1, a2 = _projector_formulas(sys, 0)
+    assert res["a1"][3] == 0.0 and res["a2"][3] == 0.0
+    np.testing.assert_allclose(res["a1"], a1, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(res["a2"], a2, rtol=1e-12, atol=0.0)
 
 
 def test_perturbed_state_overlap_with_exact_eigenvector(rng):

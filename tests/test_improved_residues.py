@@ -19,22 +19,13 @@ from perturbseries.cli import RunConfig, run
 from perturbseries.improved import _improved_sum_grid, improved_amplitude, revision_energies
 from perturbseries.model import IncompleteDegeneracyRemoval, SplitSystem, SystemSpec, redivide
 
-from helpers import random_hermitian, random_system
+from helpers import chain_system, random_hermitian, random_system
 from improved_closed import closed_amplitude
 
 TIMES = np.array([0.0, 0.7, -13.0, 40.0, 200.0])
 G_ORDERS = [None, (), (2,), (2, 3, 4, 5)]
 #: The per-equation default: lower amplitude orders absorb deeper revisions.
 STAGGERED = {0: (2, 3, 4, 5), 1: (2, 3, 4), 2: (2, 3), 3: (2,)}
-
-
-def chain_system(n: int, seed: int = 7) -> SplitSystem:
-    """Nearest-neighbour chain on a jittered ladder of levels 0.1 apart."""
-    rng = np.random.default_rng(seed)
-    energies = 0.1 * np.arange(n) + rng.uniform(-0.02, 0.02, size=n)
-    hop = 0.005 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
-    h1 = np.diag(hop, 1) + np.diag(hop.conj(), -1)
-    return redivide(SystemSpec(energies=energies, h1=h1))
 
 
 @functools.cache

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from perturbseries.improved import revision_energies
+from perturbseries.model import IncompleteDegeneracyRemoval
 from perturbseries.series import amplitude_order
 from perturbseries.terms import (
     TermLabel,
@@ -15,7 +16,15 @@ from perturbseries.terms import (
     split_t_power_parts,
 )
 
-from helpers import random_system, two_state
+from helpers import (
+    chain_system,
+    ladder_system,
+    planted_system,
+    random_hermitian,
+    random_system,
+    two_state,
+)
+from tpower_paths import path_split
 
 KNOWN_COUNTS = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -266,3 +275,100 @@ def test_split_rejects_out_of_range_orders(rng):
         split_t_power_parts(sys, 1, 1.0)
     with pytest.raises(ValueError, match="orders 2..4"):
         split_t_power_parts(sys, 5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the residue-factor split against the path-walk oracle
+
+GATE_TIMES = (0.7, 13.0, -40.0, 200.0)
+POWER_NAMES = ("e", "te", "t2e")
+
+
+def assert_split_matches_paths(sys, order, times=GATE_TIMES):
+    """Entrywise within 1e-12 * max(1, |ref|), every key, every time."""
+    ref = path_split(sys, order, times)
+    for (p, place), values in ref.items():
+        if p > 2:
+            assert np.all(values == 0.0), (p, place)
+            continue
+        got = np.array([split_t_power_parts(sys, order, t)[(POWER_NAMES[p], place)] for t in times])
+        err = np.abs(got - values)
+        bound = 1e-12 * np.maximum(1.0, np.abs(values))
+        assert np.all(err <= bound), (p, place, float(np.max(err / bound)))
+
+
+def linked(n, pairs):
+    """Coupling with one distinct complex value on each listed pair."""
+    g = np.zeros((n, n), dtype=complex)
+    for k, (a, b) in enumerate(pairs):
+        g[a, b] = 0.1 + 0.03j * (k + 1)
+        g[b, a] = np.conj(g[a, b])
+    return g
+
+
+def dense_tie(energies, seed, uncoupled=()):
+    """Dense off-diagonal coupling of norm 0.3, with the listed pairs cut."""
+    g = random_hermitian(np.random.default_rng(seed), len(energies), 0.3)
+    np.fill_diagonal(g, 0.0)
+    for a, b in uncoupled:
+        g[a, b] = g[b, a] = 0.0
+    return planted_system(energies, g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_split_matches_path_walk_on_random_systems(n, order):
+    assert_split_matches_paths(ladder_system(np.random.default_rng(40 + n), n, norm=0.3), order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_split_matches_path_walk_on_a_chain(order):
+    assert_split_matches_paths(chain_system(32), order)
+
+
+PLANTED_TIES = {
+    # levels 1 and 2 tied, uncoupled, both reached from level 0
+    "joined": planted_system([0.0, 1.0, 1.0, 2.5], linked(4, [(0, 1), (0, 2), (2, 3)])),
+    # levels 0 and 2 tied, two hops apart through level 1
+    "two hops": planted_system([0.0, 1.0, 0.0, 2.5], linked(4, [(0, 1), (1, 2), (1, 3)])),
+    "dense uncoupled": dense_tie([0.0, 1.0, 1.0, 2.5, 3.1], 5, uncoupled=[(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED_TIES))
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_split_matches_path_walk_at_planted_ties(case, order):
+    assert_split_matches_paths(PLANTED_TIES[case], order)
+
+
+def test_split_matches_path_walk_at_a_coupled_triple_tie():
+    # Three tied levels coupled to each other merge into one pole, whose
+    # t^2 part is the square of the coupling block; order 2 has no higher power.
+    assert_split_matches_paths(dense_tie([0.0, 1.0, 1.0, 1.0, 2.5], 6), 2)
+
+
+COUPLED_TIES = {
+    "tied pair": (
+        dense_tie([0.0, 1.0, 1.0, 2.5, 3.1], 6),
+        r"levels 1 and 2 are exactly degenerate",
+    ),
+    "diagonal": (
+        planted_system([0.0, 1.0, 2.2], random_hermitian(np.random.default_rng(2), 3, 0.1)),
+        r"level 0 keeps a diagonal coupling",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUPLED_TIES))
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_split_refuses_coupled_ties_from_order_three(case, order):
+    # Tied levels coupled to each other (or a level coupled to itself) put
+    # t-powers above 2 into orders 3 and 4, which the three power keys
+    # cannot hold; order 2 stays exact.
+    sys, message = COUPLED_TIES[case]
+    if order == 2:
+        assert_split_matches_paths(sys, order)
+        return
+    assert any(np.any(v != 0.0) for (p, _), v in path_split(sys, order, [1.3]).items() if p > 2)
+    with pytest.raises(IncompleteDegeneracyRemoval, match=message):
+        split_t_power_parts(sys, order, 1.3)
