@@ -32,7 +32,6 @@ from .model import (
     validate,
 )
 from .oracle import (
-    ConvergenceError,
     ExactSolution,
     diagonalize,
     exact_transition_probability,
@@ -55,7 +54,6 @@ from .terms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "DegeneracyStructure",
     "ExactSolution",
     "GoldenRuleInput",

@@ -64,7 +64,7 @@ from .model import (
     SystemSpec,
     redivide,
 )
-from .oracle import diagonalize, two_state_closed_form
+from .oracle import ExactSolution, diagonalize, two_state_closed_form
 from .series import DEFAULT_L_MAX, _truncated_sum_grid
 from .terms import _EVAL_MAX, enumerate_catalog, eval_closed_term
 
@@ -133,12 +133,23 @@ def _spec_from_document(doc: object, source: str) -> SystemSpec:
     h1_raw = doc["h1"]
     if not isinstance(h1_raw, list) or len(h1_raw) != dim:
         raise ValueError(f"{source}: field 'h1' must be a {dim}x{dim} matrix")
-    h1 = np.zeros((dim, dim), dtype=np.complex128)
+    entries: list[complex] = []
     for i, row in enumerate(h1_raw):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"{source}: field 'h1' row {i} must hold {dim} entries")
         for j, entry in enumerate(row):
-            h1[i, j] = _require_pair(entry, f"{source}: h1[{i}][{j}]")
+            # JSON decodes a [re, im] pair of decimals to exactly this;
+            # anything else goes through the full check.
+            if (
+                type(entry) is list
+                and len(entry) == 2
+                and type(entry[0]) is float
+                and type(entry[1]) is float
+            ):
+                entries.append(complex(entry[0], entry[1]))
+            else:
+                entries.append(_require_pair(entry, f"{source}: h1[{i}][{j}]"))
+    h1 = np.array(entries, dtype=np.complex128).reshape(dim, dim)
     scale = doc.get("coupling_scale", 1.0)
     if isinstance(scale, bool) or not isinstance(scale, (int, float)):
         raise ValueError(f"{source}: field 'coupling_scale' must be a number")
@@ -398,6 +409,27 @@ def _run_two_state(cfg: RunConfig) -> None:
     _write_report(cfg.output_path, lines)
 
 
+def _eigenvalues_by_level(solution: ExactSolution) -> NDArray[np.float64]:
+    """The exact eigenvalue of each level: the one whose eigenvector holds
+    the largest |component|^2 on that level.
+
+    Raises:
+        ValueError: the assignment is not one-to-one, so some level holds
+            the largest component of several eigenvectors.
+    """
+    levels = np.argmax(np.abs(solution.eigenvectors), axis=0)
+    claims = np.bincount(levels, minlength=solution.dimension)
+    if np.any(claims != 1):
+        contested = np.flatnonzero(claims > 1).tolist()
+        raise ValueError(
+            f"cannot pair levels with exact eigenvalues: levels {contested} each hold "
+            "the largest component of more than one eigenvector (strong mixing)"
+        )
+    paired = np.empty(solution.dimension)
+    paired[levels] = solution.eigenvalues
+    return paired
+
+
 def _run_energies(cfg: RunConfig) -> None:
     sys_split = _load_system(cfg)
     orders = (2, 3, 4) if cfg.g_orders is None else cfg.g_orders
@@ -405,17 +437,14 @@ def _run_energies(cfg: RunConfig) -> None:
         shifted = revision_energies(sys_split, max(orders)).e_tilde(orders)
     else:
         shifted = sys_split.energies_redivided.copy()
-    exact = diagonalize(sys_split).eigenvalues
-    # Pair level <-> eigenvalue by rank of the redivided energy: for the
-    # perturbations this tool targets the ordering is preserved.
-    ranks = np.argsort(np.argsort(sys_split.energies_redivided, kind="stable"), kind="stable")
+    exact = _eigenvalues_by_level(diagonalize(sys_split))
     settings = _common_settings(cfg) | {
         "g-orders": ",".join(map(str, orders)) if orders else "none",
     }
     lines = _header_lines(cfg, settings)
     lines.append("level,e_original,e_redivided,e_tilde,e_exact,abs_error")
     for level in range(sys_split.dimension):
-        paired = float(exact[ranks[level]])
+        paired = float(exact[level])
         lines.append(
             ",".join(
                 [

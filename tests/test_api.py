@@ -5,7 +5,6 @@ from __future__ import annotations
 import perturbseries
 
 PUBLIC = [
-    "ConvergenceError",
     "DegeneracyStructure",
     "ExactSolution",
     "GoldenRuleInput",
@@ -43,7 +42,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert perturbseries.__all__ == PUBLIC
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 32
 
 
 def test_every_public_name_resolves():

@@ -97,6 +97,14 @@ def test_parse_spec_file_round_trip(tmp_path):
             },
             "'coupling_scale' must be a number",
         ),
+        (
+            {"dimension": 2, "energies": [0.0, 1.0], "h1": [[0.0, [1.0, True]], [0.0, 0.0]]},
+            "h1\\[0\\]\\[1\\] must be a number or a",
+        ),
+        (
+            {"dimension": 2, "energies": [0.0, 1.0], "h1": [[0.0, 0.0], [[1.0, 0.0, 2.0], 0.0]]},
+            "h1\\[1\\]\\[0\\] must be a number or a",
+        ),
     ],
 )
 def test_parse_spec_file_schema_errors(tmp_path, doc, message):
@@ -104,6 +112,15 @@ def test_parse_spec_file_schema_errors(tmp_path, doc, message):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         parse_spec_file(str(path))
+
+
+def test_parse_spec_file_accepts_integer_pairs(tmp_path):
+    doc = {"dimension": 2, "energies": [0.0, 1.0], "h1": [[0.0, [1, 0]], [[1.0, -0.0], 0]]}
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    h1 = parse_spec_file(str(path)).h1
+    assert h1.dtype == np.complex128
+    np.testing.assert_array_equal(h1, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_parse_spec_file_bad_json_and_missing(tmp_path):
@@ -403,6 +420,43 @@ def test_energies_report(tmp_path, runner):
     assert float(level0[3]) == pytest.approx(-0.0099, abs=1e-15)
     assert float(level0[4]) == pytest.approx(0.5 * (1 - math.sqrt(1.04)), rel=1e-14)
     assert float(level0[5]) < 2e-6
+
+
+def _write_system(path, energies, h1):
+    doc = {"dimension": len(energies), "energies": energies, "h1": h1}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_energies_pairs_levels_by_eigenvector_overlap(tmp_path, runner):
+    # Level 1 is pushed by its coupling to level 0 above the uncoupled
+    # level 2, so pairing by rank would swap their exact eigenvalues.
+    inp = _write_system(
+        tmp_path / "sys.json", [0.0, 1.0, 1.02], [[0, 0.3, 0], [0.3, 0, 0], [0, 0, 0]]
+    )
+    out = tmp_path / "energies.csv"
+    result = runner.invoke(main, ["energies", "--input", str(inp), "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    _, _, rows = read_report(out)
+    e_exact = [float(row[4]) for row in rows]
+    assert e_exact[1] == pytest.approx(0.5 * (1.0 + math.sqrt(1.36)), abs=1e-14)
+    assert e_exact[2] == pytest.approx(1.02, abs=1e-14)
+    assert e_exact[0] == pytest.approx(0.5 * (1.0 - math.sqrt(1.36)), abs=1e-14)
+    assert max(float(row[5]) for row in rows) < 2e-3
+
+
+def test_energies_refuses_ambiguous_pairing(tmp_path, runner):
+    # Level 0 mixes strongly with both close partners and holds the largest
+    # component of two eigenvectors.
+    inp = _write_system(
+        tmp_path / "sys.json", [0.0, 0.1, 0.2], [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    )
+    out = tmp_path / "energies.csv"
+    result = runner.invoke(main, ["energies", "--input", str(inp), "--output", str(out)])
+    assert result.exit_code != 0
+    assert "cannot pair levels" in result.output
+    assert "levels [0]" in result.output
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from helpers import random_hermitian, random_system, two_state
+from jacobi import jacobi_eigh
 from perturbseries.model import SystemSpec
 from perturbseries.oracle import (
     ExactSolution,
@@ -17,19 +18,25 @@ from perturbseries.oracle import (
 )
 
 
+# hermitian_eigh is numpy's eigh, so these two check the Jacobi oracle that
+# gates it (tests/test_oracle_jacobi.py) against numpy, and its eigenpairs
+# against the eigenproblem itself.
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_eigenvalues_match_numpy(rng, n):
     h = random_hermitian(rng, n, 1.7)
-    vals, _ = hermitian_eigh(h)
+    vals, _ = jacobi_eigh(h)
     np.testing.assert_allclose(vals, np.linalg.eigvalsh(h), atol=1e-12)
 
 
 def test_eigenpairs_satisfy_the_eigenproblem(rng):
     h = random_hermitian(rng, 6, 2.0)
-    vals, vecs = hermitian_eigh(h)
-    assert np.all(np.diff(vals) >= 0.0)
-    np.testing.assert_allclose(h @ vecs, vecs * vals[np.newaxis, :], atol=1e-12)
-    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(6), atol=1e-12)
+    for solver in (jacobi_eigh, hermitian_eigh):
+        vals, vecs = solver(h)
+        assert np.all(np.diff(vals) >= 0.0)
+        np.testing.assert_allclose(h @ vecs, vecs * vals[np.newaxis, :], atol=1e-12)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(6), atol=1e-12)
 
 
 def test_diagonal_input_is_fixed_point():
