@@ -64,7 +64,7 @@ from .model import (
     SystemSpec,
     redivide,
 )
-from .oracle import ExactSolution, diagonalize, two_state_closed_form
+from .oracle import ExactSolution, diagonalize, exact_transition_probability
 from .series import DEFAULT_L_MAX, _truncated_sum_grid
 from .terms import _EVAL_MAX, enumerate_catalog, eval_closed_term
 
@@ -392,15 +392,18 @@ def _run_two_state(cfg: RunConfig) -> None:
     lines = _header_lines(cfg, settings)
     lines.append("t,p_usual,p_improved,p_exact,e_tilde_1,e_tilde_2")
     probabilities = improved_transition_probability(sys_split, 0, 1, ts, shifted)
-    for t, probs in zip(ts, probabilities):
-        exact = two_state_closed_form(cfg.e1, cfg.e2, cfg.v, float(t))
+    # after the improved columns, which refuse an uncoupled tie in their own words
+    if cfg.e1 == cfg.e2:
+        raise ValueError(f"requires e1 != e2, got e1={cfg.e1}, e2={cfg.e2}")
+    exact = exact_transition_probability(diagonalize(sys_split), 0, 1, ts)
+    for t, probs, p_exact in zip(ts, probabilities, exact):
         lines.append(
             ",".join(
                 [
                     _fmt(t),
                     _fmt(probs["p_usual"]),
                     _fmt(probs["p_improved"]),
-                    _fmt(exact["p12"]),
+                    _fmt(p_exact),
                     _fmt(shifted[0]),
                     _fmt(shifted[1]),
                 ]
@@ -513,6 +516,10 @@ def _execute(config: RunConfig) -> None:
         raise click.ClickException(str(exc)) from exc
 
 
+# Every option's destination is its RunConfig field, so each command passes
+# its parsed options straight through as RunConfig keywords.  --g-orders is
+# parsed in the command body, not in a click callback, so that a bad value
+# is reported only after click's own usage errors (exit status 2).
 _input_option = click.option(
     "--input", "input_path", type=click.Path(), required=True, help="JSON system file."
 )
@@ -528,9 +535,15 @@ _tol_deg_option = click.option(
 )
 _no_redivision_option = click.option(
     "--no-redivision",
-    is_flag=True,
+    "redivision",
+    flag_value=False,
+    default=True,
     help="Skip redivision (keep raw energies and the full perturbation).",
 )
+
+
+def _g_orders_option(help_text: str):
+    return click.option("--g-orders", type=str, default=None, help=help_text)
 
 
 def _grid_options(fn):
@@ -558,36 +571,15 @@ def main() -> None:
     show_default=True,
     help="Series truncation order L.",
 )
-@click.option("--initial", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option(
+    "--initial", "initial_level", type=click.IntRange(min=0), default=0, show_default=True
+)
 @_grid_options
 @_no_redivision_option
 @_tol_deg_option
-def evolve_cmd(
-    input_path: str,
-    output_path: str,
-    order: int,
-    initial: int,
-    t_start: float,
-    t_end: float,
-    t_steps: int,
-    no_redivision: bool,
-    tol_deg: float,
-) -> None:
+def evolve_cmd(**options) -> None:
     """Evolve a basis state with the truncated series."""
-    _execute(
-        RunConfig(
-            command="evolve",
-            input_path=input_path,
-            output_path=output_path,
-            order=order,
-            initial_level=initial,
-            t_start=t_start,
-            t_end=t_end,
-            t_steps=t_steps,
-            redivision=not no_redivision,
-            tol_deg=tol_deg,
-        )
-    )
+    _execute(RunConfig(command="evolve", **options))
 
 
 @main.command("compare")
@@ -600,41 +592,15 @@ def evolve_cmd(
     show_default=True,
     help="Truncation order L for both series (improved forms stop at 3).",
 )
-@click.option(
-    "--g-orders",
-    type=str,
-    default=None,
-    help="Revision orders for the improved exponents: 'none', '2,3', or '2..5' (default: per-equation).",
+@_g_orders_option(
+    "Revision orders for the improved exponents: 'none', '2,3', or '2..5' (default: per-equation)."
 )
 @_grid_options
 @_no_redivision_option
 @_tol_deg_option
-def compare_cmd(
-    input_path: str,
-    output_path: str,
-    order: int,
-    g_orders: str | None,
-    t_start: float,
-    t_end: float,
-    t_steps: int,
-    no_redivision: bool,
-    tol_deg: float,
-) -> None:
+def compare_cmd(g_orders: str | None, **options) -> None:
     """Compare truncated and improved series against the exact propagator."""
-    _execute(
-        RunConfig(
-            command="compare",
-            input_path=input_path,
-            output_path=output_path,
-            order=order,
-            g_orders=_parse_g_orders(g_orders),
-            t_start=t_start,
-            t_end=t_end,
-            t_steps=t_steps,
-            redivision=not no_redivision,
-            tol_deg=tol_deg,
-        )
-    )
+    _execute(RunConfig(command="compare", g_orders=_parse_g_orders(g_orders), **options))
 
 
 @main.command("terms")
@@ -649,34 +615,17 @@ def compare_cmd(
     help="Expansion order l of the catalog.",
 )
 @click.option("--time", type=float, default=1.0, show_default=True, help="Evaluation time.")
-@click.option("--from-level", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--to-level", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option(
+    "--from-level", "initial_level", type=click.IntRange(min=0), default=0, show_default=True
+)
+@click.option(
+    "--to-level", "final_level", type=click.IntRange(min=0), default=0, show_default=True
+)
 @_no_redivision_option
 @_tol_deg_option
-def terms_cmd(
-    input_path: str | None,
-    output_path: str,
-    order: int,
-    time: float,
-    from_level: int,
-    to_level: int,
-    no_redivision: bool,
-    tol_deg: float,
-) -> None:
+def terms_cmd(**options) -> None:
     """List the term catalog (with values for order <= 4 when a system is given)."""
-    _execute(
-        RunConfig(
-            command="terms",
-            input_path=input_path,
-            output_path=output_path,
-            order=order,
-            time=time,
-            initial_level=from_level,
-            final_level=to_level,
-            redivision=not no_redivision,
-            tol_deg=tol_deg,
-        )
-    )
+    _execute(RunConfig(command="terms", **options))
 
 
 @main.command("golden-rule")
@@ -684,19 +633,9 @@ def terms_cmd(
 @_output_option
 @_no_redivision_option
 @_tol_deg_option
-def golden_rule_cmd(
-    input_path: str, output_path: str, no_redivision: bool, tol_deg: float
-) -> None:
+def golden_rule_cmd(**options) -> None:
     """Golden-rule rate plus finite-time revision from a tabulated continuum."""
-    _execute(
-        RunConfig(
-            command="golden-rule",
-            input_path=input_path,
-            output_path=output_path,
-            redivision=not no_redivision,
-            tol_deg=tol_deg,
-        )
-    )
+    _execute(RunConfig(command="golden-rule", **options))
 
 
 @main.command("two-state")
@@ -706,61 +645,22 @@ def golden_rule_cmd(
 @click.option("--v", type=float, default=0.1, show_default=True, help="Real off-diagonal coupling.")
 @_grid_options
 @_tol_deg_option
-def two_state_cmd(
-    output_path: str,
-    e1: float,
-    e2: float,
-    v: float,
-    t_start: float,
-    t_end: float,
-    t_steps: int,
-    tol_deg: float,
-) -> None:
+def two_state_cmd(**options) -> None:
     """Two-level table: usual, improved and exact transition probabilities."""
-    _execute(
-        RunConfig(
-            command="two-state",
-            output_path=output_path,
-            e1=e1,
-            e2=e2,
-            v=v,
-            t_start=t_start,
-            t_end=t_end,
-            t_steps=t_steps,
-            tol_deg=tol_deg,
-        )
-    )
+    _execute(RunConfig(command="two-state", **options))
 
 
 @main.command("energies")
 @_input_option
 @_output_option
-@click.option(
-    "--g-orders",
-    type=str,
-    default=None,
-    help="Revision orders in the shifted energies: 'none', '2,3', or '2..5' (default 2,3,4).",
+@_g_orders_option(
+    "Revision orders in the shifted energies: 'none', '2,3', or '2..5' (default 2,3,4)."
 )
 @_no_redivision_option
 @_tol_deg_option
-def energies_cmd(
-    input_path: str,
-    output_path: str,
-    g_orders: str | None,
-    no_redivision: bool,
-    tol_deg: float,
-) -> None:
+def energies_cmd(g_orders: str | None, **options) -> None:
     """Shifted level energies against exact eigenvalues."""
-    _execute(
-        RunConfig(
-            command="energies",
-            input_path=input_path,
-            output_path=output_path,
-            g_orders=_parse_g_orders(g_orders),
-            redivision=not no_redivision,
-            tol_deg=tol_deg,
-        )
-    )
+    _execute(RunConfig(command="energies", g_orders=_parse_g_orders(g_orders), **options))
 
 
 if __name__ == "__main__":  # pragma: no cover

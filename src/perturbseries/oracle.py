@@ -92,14 +92,6 @@ class ExactSolution:
         return (self.eigenvectors * phases[np.newaxis, :]) @ self.eigenvectors.conj().T
 
 
-def _hamiltonian_of(sys: SplitSystem | SystemSpec | NDArray[np.complex128]) -> NDArray[np.complex128]:
-    if hasattr(sys, "energies_redivided"):
-        return np.diag(sys.energies_redivided).astype(np.complex128) + sys.g
-    if hasattr(sys, "energies"):
-        return np.diag(sys.energies).astype(np.complex128) + sys.coupling_scale * sys.h1
-    return np.asarray(sys, dtype=np.complex128)
-
-
 def diagonalize(sys: SplitSystem | SystemSpec | NDArray[np.complex128]) -> ExactSolution:
     """Exactly diagonalize a system (or a raw Hermitian matrix).
 
@@ -108,7 +100,7 @@ def diagonalize(sys: SplitSystem | SystemSpec | NDArray[np.complex128]) -> Exact
     original representation while the eigenvector components refer to the
     rotated levels.
     """
-    h = _hamiltonian_of(sys)
+    h = sys.hamiltonian() if hasattr(sys, "hamiltonian") else np.asarray(sys, dtype=np.complex128)
     herm_defect = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
     h_scale = float(np.max(np.abs(h))) if h.size else 0.0
     if herm_defect > 1e-12 * max(h_scale, 1.0):

@@ -1,10 +1,12 @@
 """Catalog and evaluation of the per-order decomposition terms.
 
-Each order-l amplitude splits into a finite catalog of terms indexed by
-equality patterns among the path levels: every pair of levels at chain
-distance >= 2 is either forced equal (delta, written ``c``), forced
-unequal (written ``n``), or left free (written ``k``).  Rows of the
-pattern collect pairs of equal separation: row j holds the pairs
+An order-l amplitude sums over level paths p_0..p_l in which neighbours
+differ (the coupling has an exactly zero diagonal).  It splits into one
+term per equality pattern of the path levels, so the order-l catalog has
+Bell(l) terms: 2, 5, 15, 52 and 203 for l = 2..6.  A label writes the
+pattern on the pairs at chain distance >= 2, read row-major: ``c``
+(contraction, the two levels are equal), ``n`` (anti-contraction, they
+differ) or ``k`` (forced by the earlier pairs).  Row j holds the pairs
 (p_k, p_{k+j+1}) for k = 0..l-j-1, so row j has l-j entries and the label
 is a comma-joined list of row strings of strictly decreasing length.
 
@@ -12,10 +14,13 @@ Labels in printed form omit rows that are entirely ``k``; the row index
 of a printed group is recovered from its length alone, which is why the
 compact form is unambiguous.
 
-The catalogs for orders 4..6 are fixed reference lists shipped as fixture
-files; an enumeration rule (branch on a pair only when the accumulated
-equality/inequality constraints leave it undecided) gives orders 2 and 3,
-matches the lists of orders 4 and 5, and at order 6 only their count.
+The catalog is generated from this definition: list the patterns, write
+each as its ``c``/``n`` string, sort the strings, and write ``k`` at a
+pair that every pattern agreeing on the earlier pairs also agrees on.
+That gives orders 2 and 3 and the label sets of orders 4 and 5.  Orders
+4..6 come from reference lists shipped as fixture files; at order 6 the
+list resolves one stem at different pair positions, so only the count
+matches there.
 """
 
 from __future__ import annotations
@@ -149,96 +154,46 @@ class TermCatalog:
         return [label.compact() for label in self.labels]
 
 
-class _Constraints:
-    """Union-find equality classes plus inequality edges over path positions.
+def _equality_patterns(size: int) -> list[tuple[int, ...]]:
+    """Every partition of path positions 0..size-1 into classes of equal
+    level with no two neighbours in one class, as restricted growth strings."""
+    patterns = [(0,)]
+    for _ in range(size - 1):
+        patterns = [
+            (*pat, cls) for pat in patterns for cls in range(max(pat) + 2) if cls != pat[-1]
+        ]
+    return patterns
 
-    Positions 0..l index the levels visited along a path.  Adjacent
-    positions are seeded unequal because the coupling matrix has an exactly
-    zero diagonal, so paths never repeat a level on consecutive steps.
+
+@lru_cache(maxsize=None)
+def _enumerate_by_rule(l: int) -> tuple[TermLabel, ...]:
+    """The order-l catalog generated from its definition.
+
+    Each equality pattern of the l+1 path positions (Bell(l) of them) is
+    written as ``c``/``n`` over the pairs at distance >= 2, row-major, and
+    the strings are sorted.  A pair becomes ``k`` where every pattern that
+    agrees on the earlier pairs also agrees on it.
     """
-
-    def __init__(self, length: int) -> None:
-        self.parent = list(range(length + 1))
-        self.unequal: set[frozenset[int]] = set()
-        for i in range(length):
-            self.unequal.add(frozenset((i, i + 1)))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def status(self, a: int, b: int) -> str:
-        """'equal', 'unequal', or 'open' for the pair (a, b)."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return "equal"
-        if frozenset((ra, rb)) in self.unequal:
-            return "unequal"
-        return "open"
-
-    def copy(self) -> "_Constraints":
-        dup = _Constraints.__new__(_Constraints)
-        dup.parent = list(self.parent)
-        dup.unequal = set(self.unequal)
-        return dup
-
-    def assert_equal(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # merge rb into ra and rewrite inequality edges onto the new root
-        self.parent[rb] = ra
-        rewritten: set[frozenset[int]] = set()
-        for edge in self.unequal:
-            rewritten.add(frozenset(ra if e == rb else e for e in edge))
-        self.unequal = rewritten
-
-    def assert_unequal(self, a: int, b: int) -> None:
-        self.unequal.add(frozenset((self.find(a), self.find(b))))
-
-
-def _enumerate_by_rule(l: int) -> list[TermLabel]:
-    """Decision-tree enumeration: branch only on undecided pairs.
-
-    Pairs are visited row-major (row 1 first, left to right).  A pair whose
-    equality status is already implied by earlier choices is recorded as
-    ``k``; otherwise the tree branches, ``c`` before ``n``.  This
-    reproduces the reference catalogs except for a single order-6 stem
-    where the reference list resolves the remaining freedom at different
-    pair positions (the fixture files are authoritative there).
-    """
-    pairs = [(k, k + row + 1, row) for row in range(1, l) for k in range(l - row)]
-    labels: list[TermLabel] = []
-    rows_template = ["k" * (l - row) for row in range(1, l)]
-
-    def walk(idx: int, state: _Constraints, rows: list[str]) -> None:
-        if idx == len(pairs):
-            trimmed = list(rows)
-            while len(trimmed) > 1 and set(trimmed[-1]) == {"k"}:
-                trimmed.pop()
-            labels.append(TermLabel(order=l, groups=tuple(trimmed)))
-            return
-        a, b, row = pairs[idx]
-        status = state.status(a, b)
-        if status != "open":
-            walk(idx + 1, state, rows)
-            return
-        for choice in ("c", "n"):
-            branch = state.copy()
-            if choice == "c":
-                branch.assert_equal(a, b)
-            else:
-                branch.assert_unequal(a, b)
-            new_rows = list(rows)
-            group = new_rows[row - 1]
-            k = a
-            new_rows[row - 1] = group[:k] + choice + group[k + 1 :]
-            walk(idx + 1, branch, new_rows)
-
-    walk(0, _Constraints(l), rows_template)
-    return labels
+    pairs = [(k, k + row + 1) for row in range(1, l) for k in range(l - row)]
+    strings = sorted(
+        "".join("c" if pat[a] == pat[b] else "n" for a, b in pairs)
+        for pat in _equality_patterns(l + 1)
+    )
+    branches: dict[str, set[str]] = {}
+    for s in strings:
+        for i, ch in enumerate(s):
+            branches.setdefault(s[:i], set()).add(ch)
+    labels = []
+    for s in strings:
+        chars = [ch if len(branches[s[:i]]) > 1 else "k" for i, ch in enumerate(s)]
+        rows = []
+        for row in range(1, l):
+            rows.append("".join(chars[: l - row]))
+            del chars[: l - row]
+        while len(rows) > 1 and set(rows[-1]) == {"k"}:
+            rows.pop()
+        labels.append(TermLabel(order=l, groups=tuple(rows)))
+    return tuple(labels)
 
 
 @lru_cache(maxsize=None)
@@ -266,13 +221,13 @@ def _load_fixture(l: int) -> tuple[TermLabel, ...]:
 def enumerate_catalog(l: int) -> TermCatalog:
     """All decomposition term labels of order l (2 <= l <= 6).
 
-    Orders 4..6 come from the shipped reference lists; orders 2 and 3 from
-    the enumeration rule, which is exact there.
+    Orders 4..6 come from the shipped reference lists; orders 2 and 3 are
+    generated from the definition, which is exact there.
     """
     if not _CATALOG_MIN <= l <= _CATALOG_MAX:
         raise ValueError(f"catalog available for orders {_CATALOG_MIN}..{_CATALOG_MAX}, got {l}")
     if l <= 3:
-        return TermCatalog(order=l, labels=tuple(_enumerate_by_rule(l)))
+        return TermCatalog(order=l, labels=_enumerate_by_rule(l))
     return TermCatalog(order=l, labels=_load_fixture(l))
 
 
@@ -334,8 +289,7 @@ def eval_closed_term(
     """
     if label.order > _EVAL_MAX:
         raise ValueError(f"per-term evaluation supports orders <= {_EVAL_MAX}, got {label.order}")
-    catalog = enumerate_catalog(label.order)
-    if label.compact() not in set(catalog.compact_strings()):
+    if label not in enumerate_catalog(label.order).labels:
         raise ValueError(f"label {label.compact()!r} is not in the order-{label.order} catalog")
     n = sys.dimension
     for name, idx in (("gamma", gamma), ("gamma_prime", gamma_prime)):

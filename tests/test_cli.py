@@ -17,6 +17,7 @@ import perturbseries
 from perturbseries.cli import RunConfig, _parse_g_orders, main, parse_spec_file, run
 from perturbseries.improved import GoldenRuleInput, golden_rule, improved_transition_probability
 from perturbseries.model import SystemSpec, redivide
+from perturbseries.oracle import two_state_closed_form
 from perturbseries.series import amplitude_order
 
 from helpers import two_state
@@ -276,6 +277,32 @@ def test_two_state_report_matches_the_per_time_call(tmp_path, runner):
         assert row[2] == repr(probs["p_improved"])
 
 
+def test_two_state_accepts_either_level_order(tmp_path, runner):
+    # Swapping e1 and e2 mirrors the pair: the probabilities are unchanged
+    # and the shifted energies trade places.
+    grid = ["--v", "0.07", "--t-end", "60", "--t-steps", "31"]
+    reports = {}
+    for name, (e1, e2) in {"up": ("0.3", "1.45"), "down": ("1.45", "0.3")}.items():
+        out = tmp_path / f"{name}.csv"
+        argv = ["two-state", "--output", str(out), "--e1", e1, "--e2", e2, *grid]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        reports[name] = read_report(out)[2]
+    expected = two_state_closed_form(0.3, 1.45, 0.07, np.linspace(0.0, 60.0, 31))["p12"]
+    for up, down, p_exact in zip(reports["up"], reports["down"], expected):
+        assert down[:3] == up[:3]
+        assert float(down[3]) == pytest.approx(p_exact, rel=1e-12, abs=1e-15)
+        assert (down[4], down[5]) == (up[5], up[4])
+
+
+def test_two_state_refuses_equal_levels(tmp_path, runner):
+    out = tmp_path / "never.csv"
+    result = runner.invoke(main, ["two-state", "--output", str(out), "--e1", "0.5", "--e2", "0.5"])
+    assert result.exit_code == 1
+    assert "requires e1 != e2, got e1=0.5, e2=0.5" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_improved_wins_at_long_time(tmp_path, runner):
     inp = write_two_state_file(tmp_path / "sys.json")
     out = tmp_path / "compare.csv"
@@ -499,6 +526,64 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "perturbseries" in result.output
+
+
+# ---------------------------------------------------------------------------
+# option mapping: every option of every command reaches its RunConfig field
+
+_GRID = ["--t-start", "0.5", "--t-end", "3.0", "--t-steps", "7"]
+_GRID_FIELDS = {"t_start": 0.5, "t_end": 3.0, "t_steps": 7}
+_OPTION_CASES = {
+    "evolve": (
+        ["--input", "in.json", "--output", "out.csv", "--order", "2", "--initial", "1",
+         *_GRID, "--no-redivision", "--tol-deg", "1e-6"],
+        {"input_path": "in.json", "output_path": "out.csv", "order": 2, "initial_level": 1,
+         **_GRID_FIELDS, "redivision": False, "tol_deg": 1e-6},
+    ),
+    "compare": (
+        ["--input", "in.json", "--output", "out.csv", "--order", "1", "--g-orders", "2,3",
+         *_GRID, "--no-redivision", "--tol-deg", "1e-6"],
+        {"input_path": "in.json", "output_path": "out.csv", "order": 1, "g_orders": (2, 3),
+         **_GRID_FIELDS, "redivision": False, "tol_deg": 1e-6},
+    ),
+    "terms": (
+        ["--input", "in.json", "--output", "out.csv", "--order", "3", "--time", "2.5",
+         "--from-level", "1", "--to-level", "2", "--no-redivision", "--tol-deg", "1e-6"],
+        {"input_path": "in.json", "output_path": "out.csv", "order": 3, "time": 2.5,
+         "initial_level": 1, "final_level": 2, "redivision": False, "tol_deg": 1e-6},
+    ),
+    "golden-rule": (
+        ["--input", "in.json", "--output", "out.csv", "--no-redivision", "--tol-deg", "1e-6"],
+        {"input_path": "in.json", "output_path": "out.csv", "redivision": False, "tol_deg": 1e-6},
+    ),
+    "two-state": (
+        ["--output", "out.csv", "--e1", "0.25", "--e2", "-0.5", "--v", "0.3", *_GRID,
+         "--tol-deg", "1e-6"],
+        {"output_path": "out.csv", "e1": 0.25, "e2": -0.5, "v": 0.3, **_GRID_FIELDS,
+         "tol_deg": 1e-6},
+    ),
+    "energies": (
+        ["--input", "in.json", "--output", "out.csv", "--g-orders", "3..5", "--no-redivision",
+         "--tol-deg", "1e-6"],
+        {"input_path": "in.json", "output_path": "out.csv", "g_orders": (3, 4, 5),
+         "redivision": False, "tol_deg": 1e-6},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTION_CASES))
+def test_every_option_reaches_its_run_config_field(command, runner, monkeypatch):
+    argv, fields = _OPTION_CASES[command]
+    params = main.commands[command].params
+    # the case gives every option of the command a value other than its default
+    assert {param.opts[0] for param in params} == {arg for arg in argv if arg.startswith("--")}
+    assert {param.name for param in params} == set(fields)
+    assert all(fields[param.name] != param.default for param in params)
+    seen = []
+    monkeypatch.setattr("perturbseries.cli.run", seen.append)
+    result = runner.invoke(main, [command, *argv])
+    assert result.exit_code == 0, result.output
+    assert seen == [RunConfig(command=command, **fields)]
 
 
 # ---------------------------------------------------------------------------

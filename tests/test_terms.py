@@ -24,6 +24,7 @@ from helpers import (
     random_system,
     two_state,
 )
+from catalog_rule import _enumerate_by_rule as decision_tree
 from tpower_paths import path_split
 
 KNOWN_COUNTS = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -64,6 +65,15 @@ def test_enumeration_rule_count_at_order_six():
     # The rule picks different representatives inside one stem than the
     # reference list, so only the count is compared at order 6.
     assert len(_enumerate_by_rule(6)) == 203
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_generated_catalog_matches_the_decision_tree(order):
+    assert list(_enumerate_by_rule(order)) == decision_tree(order)
+
+
+def test_generated_catalogs_are_cached():
+    assert enumerate_catalog(3).labels is enumerate_catalog(3).labels
 
 
 def test_catalog_rejects_out_of_range():
