@@ -388,6 +388,7 @@ def _run_two_state(cfg: RunConfig) -> None:
         "e2": _fmt(cfg.e2),
         "v": _fmt(cfg.v),
         "tol-deg": _fmt(cfg.tol_deg),
+        "basis": "redivided working basis",
     }
     lines = _header_lines(cfg, settings)
     lines.append("t,p_usual,p_improved,p_exact,e_tilde_1,e_tilde_2")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import IncompleteDegeneracyRemoval, SplitSystem
+from .model import SplitSystem, _refuse_coupled_ties
 from .series import AmplitudeMatrix
 
 __all__ = [
@@ -126,33 +126,6 @@ class RevisionEnergies:
         return out
 
 
-def _refuse_tied_revisions(
-    e: NDArray[np.float64], g: NDArray[np.complex128], max_order: int
-) -> None:
-    """Refuse exact ties that a revision sum up to ``max_order`` divides by.
-
-    The inverse gaps drop every level tied with the reference level.
-    Through third order that is exact unless the tied level is coupled
-    to the reference level directly; the fourth- and fifth-order chains
-    reach non-adjacent levels, so there any coupling on it is refused.
-    """
-    ties = e[:, np.newaxis] == e[np.newaxis, :]
-    np.fill_diagonal(ties, False)
-    direct = ties & (g != 0)
-    still = ties & np.any(g != 0, axis=1)[np.newaxis, :] if max_order >= 4 else direct
-    hits = np.argwhere(direct | still)
-    if hits.size:
-        gamma, i = hits[0]
-        if direct[gamma, i]:
-            raise IncompleteDegeneracyRemoval(
-                f"levels {gamma} and {i} are exactly degenerate and directly coupled"
-            )
-        raise IncompleteDegeneracyRemoval(
-            f"level {i} is exactly degenerate with level {gamma} and still coupled; "
-            "the fourth- and fifth-order revision sums would divide by zero"
-        )
-
-
 def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     """Compute the per-level revision hierarchy up to ``max_order``.
 
@@ -173,7 +146,9 @@ def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     energies = sys.energies_redivided
     g = sys.g
     n = sys.dimension
-    _refuse_tied_revisions(energies, g, int(max_order))
+    why = "; the fourth- and fifth-order revision sums would divide by zero" if max_order >= 4 else ""
+    # An order-m chain visits only levels within m // 2 couplings of gamma.
+    _refuse_coupled_ties(energies, g, max_order // 2, why=why)
     q = _reduced_resolvents(energies)
     absq = np.abs(g) ** 2
     s1 = np.sum(absq * q, axis=1)
@@ -214,37 +189,6 @@ def _resolve_g_orders(order: int, g_orders: Sequence[int] | None) -> tuple[int, 
     if len(set(chosen)) != len(chosen):
         raise ValueError("revision orders must not repeat")
     return chosen
-
-
-def _refuse_coupled_ties(e: NDArray[np.float64], g: NDArray[np.complex128], order: int) -> None:
-    """Refuse exact ties that the order-``order`` weights would divide by.
-
-    Tied levels share one pole, but the shifted phases and the revisions
-    behind them are per level, so a distinct level tied with k must not
-    sit on a coupling chain through k: a tie joined by a nonzero chain of
-    at most ``order`` couplings is refused.  From
-    order two on, a diagonal coupling left by skipping redivision is a
-    tie of a level with itself and is refused as well.
-    """
-    if order >= 2:
-        kept = np.flatnonzero(np.diagonal(g))
-        if kept.size:
-            raise IncompleteDegeneracyRemoval(
-                f"level {kept[0]} keeps a diagonal coupling inside a coupled chain"
-            )
-    coupled = g != 0
-    np.fill_diagonal(coupled, False)
-    reach = np.eye(e.shape[0], dtype=bool)
-    for _ in range(order):
-        reach |= reach @ coupled
-    ties = e[:, np.newaxis] == e[np.newaxis, :]
-    np.fill_diagonal(ties, False)
-    hits = np.argwhere(ties & reach)
-    if hits.size:
-        a, b = hits[0]
-        raise IncompleteDegeneracyRemoval(
-            f"levels {a} and {b} are exactly degenerate inside a coupled chain"
-        )
 
 
 def _reduced_resolvents(e: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -350,7 +294,8 @@ def _improved_sum_grid(
     e = sys.energies_redivided
     deepest = max((max(c) for c in chosen if c), default=0)
     revisions = revision_energies(sys, deepest) if deepest else None
-    _refuse_coupled_ties(e, sys.g, max(orders))
+    # Phases and revisions are per level, so no tie may sit on an amplitude's chain.
+    _refuse_coupled_ties(e, sys.g, max(orders), diagonal=max(orders) >= 2)
     columns, rows, shifted = [], [], []
     for l, c in zip(orders, chosen):
         col, row = _residue_factors(e, sys.g, l)
@@ -525,13 +470,10 @@ def _second_order_map(
     """
     e = sys.energies_redivided
     e_beta = float(e[beta])
+    _refuse_coupled_ties(e, sys.g, 1, level=beta, diagonal=True)
     absq_beta = np.abs(sys.g[beta, :]) ** 2
     mask_b = absq_beta > 0.0
     gaps_b = e_beta - e[mask_b]
-    if np.any(gaps_b == 0.0):
-        raise IncompleteDegeneracyRemoval(
-            f"level {beta} is exactly degenerate with a coupled partner"
-        )
     shift_beta = float(np.sum(absq_beta[mask_b] / gaps_b))
     absq_final = np.abs(sys.g[final_level, :]) ** 2
     mask_f = absq_final > 0.0
@@ -652,14 +594,7 @@ def improved_perturbed_state(
     g = sys.g
     n = sys.dimension
     # q drops the levels tied with beta: exact unless one reaches beta in one or two hops.
-    others = np.arange(n) != beta
-    to_beta = (g[:, beta] != 0) & others
-    tied = (e == e[beta]) & others
-    hits = np.flatnonzero(tied & (to_beta | ((g != 0) @ to_beta)))
-    if hits.size:
-        raise IncompleteDegeneracyRemoval(
-            f"levels {hits[0]} and {beta} are exactly degenerate inside a coupled chain"
-        )
+    _refuse_coupled_ties(e, g, 2, level=beta)
     q_beta = _reduced_resolvents(e)[beta]
     a0 = np.zeros(n, dtype=np.complex128)
     a0[beta] = 1.0

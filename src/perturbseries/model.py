@@ -231,6 +231,47 @@ class SplitSystem:
         )
 
 
+def _refuse_coupled_ties(
+    energies: NDArray[np.float64],
+    g: NDArray[np.complex128],
+    hops: int,
+    *,
+    level: int | None = None,
+    diagonal: bool = False,
+    why: str = "",
+) -> None:
+    """Refuse exact ties that a route would divide by.
+
+    Routes drop the inverse gap of two exactly tied levels, which is exact
+    only while no term links them: two distinct tied levels joined by a
+    chain of at most ``hops`` nonzero couplings are refused.  With
+    ``diagonal``, so is a diagonal coupling left by skipping redivision (a
+    tie of a level with itself).  Given ``level``, only ties with that
+    level count.  ``why`` ends the message.
+    """
+    n = energies.shape[0]
+    rows = np.arange(n) if level is None else np.array([level])
+    kept = rows[np.diagonal(g)[rows] != 0]
+    if diagonal and kept.size:
+        raise IncompleteDegeneracyRemoval(f"level {kept[0]} keeps a diagonal coupling{why}")
+    ties = (energies[rows, np.newaxis] == energies) & (rows[:, np.newaxis] != np.arange(n))
+    if not ties.any():
+        return
+    coupled = g != 0
+    np.fill_diagonal(coupled, False)
+    reach = rows[:, np.newaxis] == np.arange(n)
+    for _ in range(hops):
+        reach |= reach @ coupled
+    hits = np.argwhere(ties & reach)
+    if hits.size:
+        a, b = rows[hits[0, 0]], hits[0, 1]
+        if coupled[a, b]:
+            pair = f"levels {a} and {b} are exactly degenerate and directly coupled"
+        else:
+            pair = f"level {b} is exactly degenerate with level {a} and still coupled"
+        raise IncompleteDegeneracyRemoval(pair + why)
+
+
 def _group_rotation(
     energies: NDArray[np.float64],
     coupling: NDArray[np.complex128],

@@ -36,7 +36,7 @@ from numpy.typing import NDArray
 
 from .ddkernel import _dd_value
 from .improved import _residue_factors
-from .model import IncompleteDegeneracyRemoval, SplitSystem
+from .model import SplitSystem, _refuse_coupled_ties
 
 __all__ = [
     "TermCatalog",
@@ -323,14 +323,9 @@ def split_t_power_parts(
     energies = np.asarray(sys.energies_redivided, dtype=np.float64)
     g = np.asarray(sys.g, dtype=np.complex128)
     t = float(t)
-    hits = np.argwhere((energies[:, np.newaxis] == energies) & (g != 0))
-    if l >= 3 and hits.size:
-        a, b = hits[0]
-        pair = f"levels {a} and {b} are exactly degenerate and directly coupled"
-        if a == b:
-            pair = f"level {a} keeps a diagonal coupling"
-        raise IncompleteDegeneracyRemoval(
-            f"{pair}; the order-{l} split would need t-powers above 2"
+    if l >= 3:
+        _refuse_coupled_ties(
+            energies, g, 1, diagonal=True, why=f"; the order-{l} split would need t-powers above 2"
         )
     diagonal = np.eye(sys.dimension, dtype=bool)
     out: dict[tuple[str, str], NDArray[np.complex128]] = {}

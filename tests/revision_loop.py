@@ -15,21 +15,28 @@ from perturbseries.model import IncompleteDegeneracyRemoval
 
 
 def _inverse_gaps(energies: np.ndarray, g: np.ndarray, gamma: int, max_order: int) -> np.ndarray:
-    """1/(E'_gamma - E'_i) with gamma itself and tolerated ties zeroed."""
+    """1/(E'_gamma - E'_i) with gamma itself and tolerated ties zeroed.
+
+    A chain of order m visits only levels within m // 2 couplings of
+    gamma, so a tie is tolerated unless it is that close: directly coupled
+    through third order, and within two couplings at orders four and five.
+    """
+    why = "; the fourth- and fifth-order revision sums would divide by zero" if max_order >= 4 else ""
+    n = energies.shape[0]
     diff = energies[gamma] - energies
     q = np.zeros_like(diff)
-    for i in range(diff.shape[0]):
+    for i in range(n):
         if i == gamma:
             continue
         if diff[i] == 0.0:
             if g[gamma, i] != 0:
                 raise IncompleteDegeneracyRemoval(
-                    f"levels {gamma} and {i} are exactly degenerate and directly coupled"
+                    f"levels {gamma} and {i} are exactly degenerate and directly coupled{why}"
                 )
-            if max_order >= 4 and np.any(g[i, :] != 0):
+            two_hops = any(g[gamma, k] != 0 and g[k, i] != 0 for k in range(n) if k not in (gamma, i))
+            if max_order >= 4 and two_hops:
                 raise IncompleteDegeneracyRemoval(
-                    f"level {i} is exactly degenerate with level {gamma} and still coupled; "
-                    "the fourth- and fifth-order revision sums would divide by zero"
+                    f"level {i} is exactly degenerate with level {gamma} and still coupled{why}"
                 )
             continue
         q[i] = 1.0 / diff[i]

@@ -295,6 +295,16 @@ def test_two_state_accepts_either_level_order(tmp_path, runner):
         assert (down[4], down[5]) == (up[5], up[4])
 
 
+def test_two_state_header_names_the_working_basis(tmp_path, runner):
+    # Levels closer than --tol-deg are rotated by redivision, and every
+    # column is then a transition between the rotated states, as in evolve.
+    out = tmp_path / "pair.csv"
+    result = runner.invoke(main, ["two-state", "--output", str(out), "--e1", "0", "--e2", "1e-11"])
+    assert result.exit_code == 0, result.output
+    comments, _, _ = read_report(out)
+    assert "# basis: redivided working basis" in comments
+
+
 def test_two_state_refuses_equal_levels(tmp_path, runner):
     out = tmp_path / "never.csv"
     result = runner.invoke(main, ["two-state", "--output", str(out), "--e1", "0.5", "--e2", "0.5"])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from perturbseries.cli import main
 from perturbseries.improved import (
     GoldenRuleInput,
     RevisionEnergies,
@@ -226,6 +229,35 @@ def test_revision_refusals_match_per_level_loop(case, max_order):
     rev = revision_energies(sys, max_order)
     for order in range(2, max_order + 1):
         np.testing.assert_allclose(rev.revision(order), ref[order], rtol=1e-13, atol=0.0)
+
+
+def test_tie_across_separate_blocks_keeps_every_revision(tmp_path):
+    # Levels 0 and 1 tie, but sit in two uncoupled two-level blocks (0-2
+    # and 1-3), so no revision chain reaches one from the other.  Each
+    # block has the two-level closed forms.
+    e = [0.0, 0.0, 1.0, 2.3]
+    h1 = np.zeros((4, 4), dtype=complex)
+    h1[0, 2] = h1[2, 0] = 0.05
+    h1[1, 3] = h1[3, 1] = 0.07
+    sys = redivide(SystemSpec(energies=np.array(e), h1=h1))
+    rev = revision_energies(sys, 5)
+    for level, other, v in ((0, 2, 0.05), (2, 0, 0.05), (1, 3, 0.07), (3, 1, 0.07)):
+        gap, bound = e[level] - e[other], 1e-14 * v**2
+        assert abs(rev.g2[level] - v**2 / gap) <= bound
+        assert abs(rev.g3[level]) <= bound
+        assert abs(rev.g4[level] + v**4 / gap**3) <= bound
+        assert abs(rev.g5[level]) <= bound
+    doc = {"dimension": 4, "energies": e, "h1": [[[z.real, z.imag] for z in row] for row in h1]}
+    inp = tmp_path / "blocks.json"
+    inp.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("energies", "compare"):
+        out = tmp_path / f"{command}.csv"
+        result = CliRunner().invoke(main, [command, "--input", str(inp), "--output", str(out)])
+        assert result.exit_code == 0, result.output
+    # Revisions 2-4 miss the sixth-order term 2|v|^6/|gap|^5 of each block.
+    rows = [line.split(",") for line in (tmp_path / "energies.csv").read_text().splitlines()[-4:]]
+    for row, v, gap in zip(rows, (0.05, 0.07, 0.05, 0.07), (1.0, 2.3, 1.0, 2.3)):
+        assert float(row[-1]) <= 1.01 * 2 * v**6 / gap**5
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +527,34 @@ def test_golden_rule_window_check():
     )
     with pytest.raises(ValueError, match="window too narrow"):
         golden_rule(inp, two_state(v=0.1), omega_tilde=lambda om: om)
+
+
+@pytest.mark.parametrize(
+    "energies, h1_diagonal, message",
+    [
+        ([0.0, 2.5, 0.0], 0.0, "levels 0 and 2 are exactly degenerate and directly coupled"),
+        ([0.0, 2.5, 12.0], 0.01, "level 0 keeps a diagonal coupling"),
+    ],
+    ids=["tied partner", "diagonal"],
+)
+def test_golden_rule_refuses_a_tie_in_the_initial_shift(energies, h1_diagonal, message):
+    # The initial level's second-order shift divides by the gap to every
+    # level it couples to, itself included when redivision is skipped.
+    h1 = np.zeros((3, 3))
+    h1[0, 2] = h1[2, 0] = 0.08
+    h1[1, 2] = h1[2, 1] = 0.3
+    h1[0, 0] = h1_diagonal
+    sys = redivide(SystemSpec(energies=np.array(energies), h1=h1), enabled=False)
+    grid = np.linspace(-5.0, 5.0, 101)
+    inp = GoldenRuleInput(
+        energy_grid=grid,
+        density_of_states=np.full(grid.shape, 0.7),
+        coupling_profile=tapered_profile(grid, 0.0025),
+        duration=50.0,
+        initial_level=0,
+    )
+    with pytest.raises(IncompleteDegeneracyRemoval, match=message):
+        golden_rule(inp, sys, final_level=1)
 
 
 def test_golden_rule_flags_singular_integrand():
@@ -795,7 +855,10 @@ def _tied_chain(hops: int):
 
 @pytest.mark.parametrize("hops", [1, 2])
 def test_perturbed_state_refuses_close_ties(hops):
-    message = f"levels {hops} and 0 are exactly degenerate inside a coupled chain"
+    message = {
+        1: "levels 0 and 1 are exactly degenerate and directly coupled",
+        2: "level 2 is exactly degenerate with level 0 and still coupled",
+    }[hops]
     with pytest.raises(IncompleteDegeneracyRemoval, match=message):
         improved_perturbed_state(_tied_chain(hops), 0)
 
