@@ -41,6 +41,12 @@ __all__ = ["NodeList", "dd_exp"]
 _TAYLOR_ORDER = 13
 _SCALE_LIMIT = 0.5
 
+#: Bytes of block array that `_dd_blocks` carries per chunk of times.  The
+#: chunk's block-sized buffers then stay in a 2 MB L2 cache; with all 101
+#: times in one chunk, the whole-array updates ran about 10% slower than
+#: per-order updates at N = 12 and about 20% slower at N = 48.
+_CHUNK_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class NodeList:
@@ -122,7 +128,8 @@ def _dd_blocks(
     squaring, with the scaling chosen per time.  Block l is homogeneous of
     degree l in g, so only the diagonal part sets the scaling, and the
     Taylor degree grows with L so that block L is truncated at the same
-    relative order as block 0.
+    relative order as block 0.  Times are independent, so long grids run in
+    chunks of at most `_CHUNK_BYTES` of blocks.
     """
     n, times = energies.shape[0], ts.shape[0]
     mu = float(energies.mean())
@@ -137,40 +144,74 @@ def _dd_blocks(
     squarings, ts = squarings[order], ts[order]
     step = -1j * ts / 2.0**squarings
     diag = step[:, None] * centered
+    phase = np.exp(-1j * mu * ts)[:, None, None]
 
-    # Horner form of the truncated Taylor series of the scaled matrix, whose
-    # first block row is (diag(diag), step * g).  Highest block first: the
-    # new block l reads the old blocks l and l - 1.
     out = np.zeros((L + 1, times, n, n), dtype=np.complex128)
-    r0 = np.ones((times, n), dtype=np.complex128)
-    for k in range(_TAYLOR_ORDER + L, 0, -1):
-        for l in range(L, 0, -1):
-            if l == 1:
-                below = r0[:, :, None] * g
-            else:
-                below = (out[l - 1].reshape(-1, n) @ g).reshape(times, n, n)
-            out[l] *= diag[:, None, :]
-            out[l] += step[:, None, None] * below
-            out[l] /= k
-        r0 = 1.0 + r0 * diag / k
-
-    for done in range(int(squarings.max(initial=0))):
-        first = int(np.searchsorted(squarings, done, side="right"))
-        a0, blocks = r0[first:], out[:, first:]
-        # Block l of the square is sum_{i+j=l} r_i @ r_j; highest block first.
-        for l in range(L, 0, -1):
-            acc = a0[:, :, None] * blocks[l] + blocks[l] * a0[:, None, :]
-            for i in range(1, l):
-                acc += blocks[i] @ blocks[l - i]
-            blocks[l] = acc
-        r0[first:] = a0 * a0
-
-    out[1:] *= np.exp(-1j * mu * ts)[:, None, None]
+    span = max(1, _CHUNK_BYTES // (16 * max(L, 1) * n * n))
+    for lo in range(0, times, span):
+        chunk = slice(lo, lo + span)
+        blocks = _centered_blocks(diag[chunk], step[chunk], squarings[chunk], g, L)
+        np.multiply(blocks, phase[chunk], out=out[1:, chunk])
     idx = np.arange(n)
     out[0][:, idx, idx] = np.exp(-1j * np.outer(ts, energies))
     if not np.array_equal(order, np.arange(times)):
         out = out[:, np.argsort(order)]
     return out
+
+
+def _centered_blocks(
+    diag: NDArray[np.complex128],
+    step: NDArray[np.complex128],
+    squarings: NDArray[np.int64],
+    g: NDArray[np.complex128],
+    L: int,
+) -> NDArray[np.complex128]:
+    """Blocks 1..L of the first block row of the mean-shifted exponential.
+
+    One chunk of times, sorted by squaring count: ``diag[k]`` is the scaled
+    centered diagonal and ``step[k]`` the scaled coupling factor at time k.
+    A Taylor step updates all L blocks with a fixed number of whole-array
+    operations, whatever L is, and a squaring adds its block products with
+    one batched product per left factor.  Each entry still goes through the
+    same floating-point operations, in the same order, as under a loop over
+    the orders (`tests/test_dd_blocks.py` holds the two equal bit for bit).
+    """
+    times, n = diag.shape
+    upper = np.zeros((L, times, n, n), dtype=np.complex128)
+    below = np.empty_like(upper)
+    # diag and step spread over each N x N block, so the per-step products
+    # run as flat loops over the block array.
+    cols = np.broadcast_to(diag[:, None, :], (times, n, n)).copy()
+    steps = np.broadcast_to(step[:, None, None], (times, n, n)).copy()
+    r0 = np.ones((times, n), dtype=np.complex128)
+
+    # Horner form of the truncated Taylor series of the scaled matrix, whose
+    # first block row is (diag(diag), step * g): new block l is
+    # (old block l * diag + step * old block l - 1 @ g) / k.
+    for k in range(_TAYLOR_ORDER + L, 0, -1):
+        np.multiply(r0[:, :, None], g, out=below[:1])
+        np.matmul(upper[:-1].reshape(-1, n), g, out=below[1:].reshape(-1, n))
+        upper *= cols
+        below *= steps
+        upper += below
+        upper /= k
+        r0 = 1.0 + r0 * diag / k
+
+    acc = np.empty_like(upper)
+    passes = np.arange(squarings.max(initial=0))
+    for first in np.searchsorted(squarings, passes, side="right"):
+        a0, blocks, square, prod = r0[first:], upper[:, first:], acc[:, first:], below[:, first:]
+        # Block l of the square is a0 r_l + r_l a0 + sum_{i=1}^{l-1} r_i @ r_{l-i},
+        # the products added in increasing i.
+        np.multiply(a0[:, :, None], blocks, out=square)
+        np.multiply(blocks, a0[:, None, :], out=prod)
+        square += prod
+        for i in range(1, L):
+            np.matmul(blocks[i - 1], blocks[: L - i], out=prod[: L - i])
+            square[i:] += prod[: L - i]
+        blocks[...] = square
+        r0[first:] = a0 * a0
+    return upper
 
 
 def dd_exp(node_list: NodeList) -> complex:

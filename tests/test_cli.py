@@ -20,6 +20,7 @@ from perturbseries.model import SystemSpec, redivide
 from perturbseries.oracle import two_state_closed_form
 from perturbseries.series import amplitude_order
 
+from dd_blocks_loop import dd_blocks_loop
 from helpers import two_state
 
 
@@ -186,6 +187,40 @@ def test_evolve_reports_are_byte_identical(tmp_path, runner):
     assert runner.invoke(main, args(second)).exit_code == 0
     assert first.read_bytes() == second.read_bytes()
 
+
+
+def test_compare_reports_are_byte_identical(tmp_path, runner, monkeypatch):
+    # compare runs the block kernel for the usual series; its report must not
+    # change from run to run, nor against the per-order loop kernel
+    n = 6
+    upper = np.triu(np.fromfunction(lambda a, b: 0.04 * np.exp(1j * (a + 2 * b)) / (1 + abs(b - a)), (n, n)), 1)
+    h1 = upper + upper.conj().T
+    doc = {
+        "dimension": n,
+        "energies": [0.37 * k + 0.05 * math.sin(k) for k in range(n)],
+        "h1": [[[z.real, z.imag] for z in row] for row in h1],
+    }
+    inp = tmp_path / "sys.json"
+    inp.write_text(json.dumps(doc), encoding="utf-8")
+    args = lambda out: [
+        "compare",
+        "--input",
+        str(inp),
+        "--output",
+        str(out),
+        "--order",
+        "3",
+        "--t-end",
+        "60",
+        "--t-steps",
+        "41",
+    ]
+    first, second, loop = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "loop.csv"
+    assert runner.invoke(main, args(first)).exit_code == 0
+    assert runner.invoke(main, args(second)).exit_code == 0
+    monkeypatch.setattr(perturbseries.series, "_dd_value", dd_blocks_loop)
+    assert runner.invoke(main, args(loop)).exit_code == 0
+    assert first.read_bytes() == second.read_bytes() == loop.read_bytes()
 
 def test_terms_catalog_listing(tmp_path, runner):
     out = tmp_path / "terms6.csv"
