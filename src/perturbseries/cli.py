@@ -337,15 +337,11 @@ def _run_terms(cfg: RunConfig) -> None:
             "to-level": cfg.final_level,
         }
         lines_tail.append("index,label,value_re,value_im")
-        for i, label in enumerate(catalog.labels):
-            value = eval_closed_term(
-                sys_split, label, cfg.time, cfg.final_level, cfg.initial_level
-            )
-            lines_tail.append(
-                ",".join(
-                    [str(i), f'"{label.compact()}"', _fmt(value.real), _fmt(value.imag)]
-                )
-            )
+        values = eval_closed_term(
+            sys_split, catalog.labels, cfg.time, cfg.final_level, cfg.initial_level
+        )
+        for i, (label, value) in enumerate(zip(catalog.labels, values)):
+            lines_tail.append(f'{i},"{label.compact()}",{_fmt(value.real)},{_fmt(value.imag)}')
     else:
         lines_tail.append("index,label")
         for i, label in enumerate(catalog.labels):

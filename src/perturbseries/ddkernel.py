@@ -15,11 +15,12 @@ yields all confluent limits for free, with no branching on node gaps.
 A mean-shift is applied first (f factors into a scalar phase times the
 exponential of the centered matrix), which keeps the scaled norm small.
 
-`_dd_blocks` is the batched form the series uses: the divided differences
-over every index path through a set of levels, weighted by the coupling
-products along the path and summed, for all orders up to L and a grid of
-times at once.  It is the same route applied to the block upper-bidiagonal
-matrix with the level energies on the diagonal and the coupling above.
+`_dd_value` runs a stack of node sets at once.  `_dd_blocks` is the form
+the series uses: the divided differences over every index path through a
+set of levels, weighted by the coupling products along the path and
+summed, for all orders up to L and a grid of times at once.  It is the
+same route applied to the block upper-bidiagonal matrix with the level
+energies on the diagonal and the coupling above.
 """
 
 from __future__ import annotations
@@ -71,40 +72,36 @@ class NodeList:
         return int(self.nodes.shape[0])
 
 
-def _dd_value(nodes: NDArray[np.float64], t: float) -> complex:
-    """Divided difference of e^{-i*x*t} over the given nodes (array form)."""
-    m = nodes.shape[0]
-    if m == 1:
-        return complex(np.exp(-1j * nodes[0] * t))
+def _dd_value(nodes: NDArray[np.float64], t: float) -> NDArray[np.complex128]:
+    """Divided differences of e^{-i*x*t} over each row of nodes (K, m), shape (K,).
 
-    mu = float(nodes.mean())
-    centered = nodes - mu
-    phase = complex(np.exp(-1j * mu * t))
-
-    if np.ptp(centered) == 0.0:
-        # All nodes equal: the confluent limit is the (m-1)-th derivative
-        # of the phase function over (m-1)!.
-        return phase * (-1j * t) ** (m - 1) / factorial(m - 1)
-
-    a = np.zeros((m, m), dtype=np.complex128)
-    idx = np.arange(m)
-    a[idx, idx] = -1j * t * centered
-    a[idx[:-1], idx[:-1] + 1] = -1j * t
-
-    norm = float(np.max(np.sum(np.abs(a), axis=1)))
-    squarings = 0
-    if norm > _SCALE_LIMIT:
-        squarings = int(np.ceil(np.log2(norm / _SCALE_LIMIT)))
-        a /= 2.0**squarings
+    Each row is the phase of its mean times entry (1, m) of the exponential
+    of its centered bidiagonal matrix.  The matrices run as one stack sorted
+    by squaring count, so each squaring pass works on a trailing slice.
+    """
+    m = nodes.shape[1]
+    mu = nodes.mean(axis=1)
+    centered = nodes - mu[:, None]
+    phase = np.exp(-1j * mu * t)
+    a = -1j * t * (centered[:, :, None] * np.eye(m) + np.eye(m, k=1))
+    norm = np.max(np.sum(np.abs(a), axis=2), axis=1)
+    squarings = np.ceil(np.log2(np.maximum(norm / _SCALE_LIMIT, 1.0))).astype(np.int64)
+    order = np.argsort(squarings, kind="stable")
+    a, squarings = a[order] / (2.0 ** squarings[order])[:, None, None], squarings[order]
 
     # Horner form of the truncated Taylor series for exp(a).
     eye = np.eye(m, dtype=np.complex128)
-    result = eye.copy()
+    result = eye
     for k in range(_TAYLOR_ORDER + max(0, m - 5), 0, -1):
         result = eye + (a / k) @ result
-    for _ in range(squarings):
-        result = result @ result
-    return phase * complex(result[0, m - 1])
+    for first in np.searchsorted(squarings, np.arange(squarings.max(initial=0)), side="right"):
+        result[first:] = result[first:] @ result[first:]
+    out = phase * result[np.argsort(order), 0, m - 1]
+    # All nodes equal: the confluent limit is the (m-1)-th derivative of the
+    # phase function over (m-1)!.
+    equal = np.ptp(centered, axis=1) == 0.0
+    out[equal] = phase[equal] * (-1j * t) ** (m - 1) / factorial(m - 1)
+    return out
 
 
 def _dd_blocks(
@@ -124,7 +121,7 @@ def _dd_blocks(
     l of a product x*y is sum_{i+j=l} x_i @ y_j.  Block 0 stays diagonal and
     is carried as a vector.
 
-    The exponential is the scalar kernel's mean-shifted Taylor scaling and
+    The exponential is `_dd_value`'s mean-shifted Taylor scaling and
     squaring, with the scaling chosen per time.  Block l is homogeneous of
     degree l in g, so only the diagonal part sets the scaling, and the
     Taylor degree grows with L so that block L is truncated at the same
@@ -221,4 +218,4 @@ def dd_exp(node_list: NodeList) -> complex:
     matrix-exponential route, and the value is independent of node order
     (divided differences are symmetric in their nodes).
     """
-    return _dd_value(node_list.nodes, node_list.t)
+    return complex(_dd_value(node_list.nodes[None, :], node_list.t)[0])

@@ -25,8 +25,8 @@ matches there.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -165,6 +165,11 @@ def _equality_patterns(size: int) -> list[tuple[int, ...]]:
     return patterns
 
 
+def _pattern_pairs(l: int) -> list[tuple[int, int]]:
+    """The path position pairs at distance >= 2 in label order (row-major)."""
+    return [(k, k + row + 1) for row in range(1, l) for k in range(l - row)]
+
+
 @lru_cache(maxsize=None)
 def _enumerate_by_rule(l: int) -> tuple[TermLabel, ...]:
     """The order-l catalog generated from its definition.
@@ -174,9 +179,8 @@ def _enumerate_by_rule(l: int) -> tuple[TermLabel, ...]:
     the strings are sorted.  A pair becomes ``k`` where every pattern that
     agrees on the earlier pairs also agrees on it.
     """
-    pairs = [(k, k + row + 1) for row in range(1, l) for k in range(l - row)]
     strings = sorted(
-        "".join("c" if pat[a] == pat[b] else "n" for a, b in pairs)
+        "".join("c" if pat[a] == pat[b] else "n" for a, b in _pattern_pairs(l))
         for pat in _equality_patterns(l + 1)
     )
     branches: dict[str, set[str]] = {}
@@ -231,71 +235,74 @@ def enumerate_catalog(l: int) -> TermCatalog:
     return TermCatalog(order=l, labels=_load_fixture(l))
 
 
-@lru_cache(maxsize=16384)
-def _dd_cached(nodes: tuple[float, ...], t: float) -> complex:
-    # the kernel is symmetric in its nodes, so callers pass them sorted to
-    # maximize cache hits across path assignments
-    return _dd_value(np.array(nodes, dtype=np.float64), t)
-
-
-def _eval_term(
-    sys: SplitSystem, label: TermLabel, t: float, gamma: int, gamma_prime: int
-) -> complex:
-    """Constrained path sum for one label (any order; no catalog check)."""
-    l = label.order
-    n = sys.dimension
-    energies = np.asarray(sys.energies_redivided, dtype=np.float64)
-    g = np.asarray(sys.g, dtype=np.complex128)
-    constraints = label.constraints()
-    t = float(t)
-
-    total = 0.0 + 0.0j
-    path = [0] * (l + 1)
-    path[0] = gamma
-    path[l] = gamma_prime
-    for interior in itertools.product(range(n), repeat=l - 1):
-        path[1:l] = interior
-        ok = True
-        for i, j, kind in constraints:
-            if (path[i] == path[j]) != (kind == "c"):
-                ok = False
-                break
-        if not ok:
-            continue
-        product = 1.0 + 0.0j
-        for step in range(l):
-            factor = g[path[step], path[step + 1]]
-            if factor == 0.0:
-                product = 0.0
-                break
-            product *= factor
-        if product == 0.0:
-            continue
-        nodes = tuple(sorted(float(energies[p]) for p in path))
-        total += product * _dd_cached(nodes, t)
-    return total
+def _label_positions(labels: tuple[TermLabel, ...], path: NDArray[np.intp]) -> NDArray[np.intp]:
+    """Position in ``labels`` of the label each path (a column) satisfies, or -1:
+    the one whose ``c``/``n`` pairs, as +1/-1, all agree with the path's."""
+    first, second = np.array(_pattern_pairs(labels[0].order)).T
+    sign = {"c": 1, "n": -1, "k": 0}
+    wanted = np.array(
+        [[sign[ch] for ch in "".join(lab.groups).ljust(first.size, "k")] for lab in labels]
+    )
+    agree = wanted @ np.where(path[first] == path[second], 1, -1)
+    hits = agree == np.abs(wanted).sum(axis=1, keepdims=True)
+    return np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
 
 
 def eval_closed_term(
-    sys: SplitSystem, label: TermLabel, t: float, gamma: int, gamma_prime: int
-) -> complex:
-    """Value of one catalog term: the path sum restricted to the label's
-    equality pattern, with the divided-difference kernel supplying the
-    confluent closed form for the repeated energies the pattern forces.
+    sys: SplitSystem, label: TermLabel | Sequence[TermLabel], t: float, gamma: int, gamma_prime: int
+) -> complex | NDArray[np.complex128]:
+    """Value of one catalog term, or of a sequence of same-order terms as an array.
 
-    Closed-form evaluation is supported for orders 2..4 (the orders with
-    complete per-term reference expressions); the label must belong to
-    ``enumerate_catalog(label.order)``.
+    A term is the path sum restricted to the label's equality pattern, with
+    the divided-difference kernel supplying the confluent closed form for the
+    repeated energies the pattern forces.  One pass over the paths serves all
+    the labels: paths with a zero coupling product or no label drop out, the
+    kernel runs once per multiset of interior levels, and each label adds its
+    paths in path order.  On a whole-catalog request a coupled path without a
+    label is an error.  Orders 2..4 are supported (the orders with complete
+    per-term reference expressions); every label must be in the catalog.
     """
-    if label.order > _EVAL_MAX:
-        raise ValueError(f"per-term evaluation supports orders <= {_EVAL_MAX}, got {label.order}")
-    if label not in enumerate_catalog(label.order).labels:
-        raise ValueError(f"label {label.compact()!r} is not in the order-{label.order} catalog")
+    labels = (label,) if isinstance(label, TermLabel) else tuple(label)
+    orders = {lab.order for lab in labels}
+    if len(orders) != 1:
+        raise ValueError(f"give labels of one order, got orders {sorted(orders)}")
+    (l,) = orders
+    if l > _EVAL_MAX:
+        raise ValueError(f"per-term evaluation supports orders <= {_EVAL_MAX}, got {l}")
+    catalog = set(enumerate_catalog(l).labels)
+    for lab in labels:
+        if lab not in catalog:
+            raise ValueError(f"label {lab.compact()!r} is not in the order-{l} catalog")
     n = sys.dimension
     for name, idx in (("gamma", gamma), ("gamma_prime", gamma_prime)):
         if not 0 <= idx < n:
             raise ValueError(f"{name} {idx} outside 0..{n - 1}")
-    return _eval_term(sys, label, t, gamma, gamma_prime)
+    position = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+
+    path = np.empty((l + 1, n ** (l - 1)), dtype=np.intp)
+    path[0], path[1:l], path[l] = gamma, np.indices((n,) * (l - 1)).reshape(l - 1, -1), gamma_prime
+    product = sys.g[path[0], path[1]]
+    for step in range(1, l):
+        product = product * sys.g[path[step], path[step + 1]]
+    which = _label_positions(tuple(position), path)
+    stray = (product != 0.0) & (which < 0)
+    if len(position) == len(catalog) and stray.any():
+        raise ValueError(f"path {path[:, np.argmax(stray)].tolist()} matches no order-{l} label")
+    keep = (product != 0.0) & (which >= 0)
+    values = np.zeros(len(position), dtype=np.complex128)
+    if keep.any():
+        path, product, which = path[:, keep], product[keep], which[keep]
+        nodes = np.sort(sys.energies_redivided[path], axis=0).T
+        if nodes.shape[0] < 8:  # too few paths for finding repeats to pay
+            dd = _dd_value(nodes, float(t))
+        else:
+            key = np.ravel_multi_index(np.sort(path[1:l], axis=0), (n,) * (l - 1))
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            dd = _dd_value(nodes[first], float(t))[inverse]
+        np.add.at(values, which, product * dd)
+    if isinstance(label, TermLabel):
+        return complex(values[0])
+    return values[[position[lab] for lab in labels]]
 
 
 def split_t_power_parts(

@@ -5,14 +5,14 @@ coupling product times the confluent divided difference of e^{-i*x*t}
 over the energies visited.  The divided difference is symmetric in its
 nodes, so paths are grouped by the multiset of interior levels before the
 kernel runs.  The walk is exponential in l; it stays here as a reference
-that shares only the scalar kernel with the package's block exponential.
+that evaluates each path with the scalar kernel in `dd_scalar.py`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from perturbseries.ddkernel import _dd_value
+from dd_scalar import _dd_value
 
 
 def path_weights(g: np.ndarray, order: int, start: int) -> dict[tuple[int, tuple[int, ...]], complex]:

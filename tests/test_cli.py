@@ -263,6 +263,35 @@ def test_terms_with_values(tmp_path, runner):
     assert values['"n"'] == 0.0
 
 
+def test_terms_reports_are_byte_identical(tmp_path, runner):
+    # All 15 order-4 terms come from one pass; the report must not change
+    # between runs in one process nor in a fresh interpreter.
+    n = 5
+    upper = np.triu(np.fromfunction(lambda a, b: 0.03 * np.exp(1j * (2 * a + b)) / (1 + abs(b - a)), (n, n)), 1)
+    h1 = upper + upper.conj().T
+    doc = {
+        "dimension": n,
+        "energies": [0.5 * k + 0.07 * math.cos(k) for k in range(n)],
+        "h1": [[[z.real, z.imag] for z in row] for row in h1],
+    }
+    inp = tmp_path / "sys.json"
+    inp.write_text(json.dumps(doc), encoding="utf-8")
+    args = lambda out: [
+        "terms", "--order", "4", "--input", str(inp), "--output", str(out),
+        "--time", "2.7", "--from-level", "3", "--to-level", "1",
+    ]
+    first, second, fresh = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    assert runner.invoke(main, args(first)).exit_code == 0
+    assert runner.invoke(main, args(second)).exit_code == 0
+    src = str(Path(perturbseries.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"from perturbseries.cli import main; main({args(fresh)!r})"
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60, check=True)
+    assert first.read_bytes() == second.read_bytes() == fresh.read_bytes()
+    _, _, rows = read_report(first)
+    assert len(rows) == 15 and any(float(row[2]) != 0.0 for row in rows)
+
+
 def test_terms_high_order_with_input_lists_only(tmp_path, runner):
     inp = write_two_state_file(tmp_path / "sys.json")
     out = tmp_path / "terms5.csv"

@@ -8,7 +8,9 @@ import pytest
 from perturbseries.improved import revision_energies
 from perturbseries.model import IncompleteDegeneracyRemoval
 from perturbseries.series import amplitude_order
+from perturbseries import terms
 from perturbseries.terms import (
+    TermCatalog,
     TermLabel,
     _enumerate_by_rule,
     enumerate_catalog,
@@ -25,6 +27,7 @@ from helpers import (
     two_state,
 )
 from catalog_rule import _enumerate_by_rule as decision_tree
+from term_walk import _eval_term as walk_term
 from tpower_paths import path_split
 
 KNOWN_COUNTS = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -190,6 +193,62 @@ def test_eval_rejects_bad_levels():
         eval_closed_term(sys, TermLabel.parse("c"), 1.0, 2, 0)
     with pytest.raises(ValueError, match="gamma_prime -1 outside"):
         eval_closed_term(sys, TermLabel.parse("c"), 1.0, 0, -1)
+
+
+def _chain_with_decoupled_tie(n: int):
+    """Nearest-neighbour chain (every other coupling exactly zero) whose last
+    level sits exactly on the first; from n = 3 on the two are not coupled."""
+    rng = np.random.default_rng(n)
+    energies = np.cumsum(rng.uniform(0.3, 1.0, size=n))
+    if n >= 3:
+        energies[-1] = energies[0]
+    hop = rng.uniform(0.05, 0.3, size=n - 1) * np.exp(2j * np.pi * rng.random(n - 1))
+    return planted_system(energies, np.diag(hop, 1) + np.diag(hop.conj(), -1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_pass_matches_the_per_label_walk(n):
+    # The third system keeps a diagonal coupling, as with redivision off, so
+    # paths that stay on a level have a nonzero product too.
+    rng = np.random.default_rng(n)
+    undivided = planted_system(np.cumsum(rng.uniform(0.3, 1.0, size=n)), random_hermitian(rng, n, 0.2))
+    for sys in (ladder_system(rng, n), _chain_with_decoupled_tie(n), undivided):
+        for order in (2, 3, 4):
+            labels = enumerate_catalog(order).labels
+            for gamma in range(n):
+                for gp in range(n):
+                    got = eval_closed_term(sys, labels, 1.7, gamma, gp)
+                    ref = np.array([walk_term(sys, label, 1.7, gamma, gp) for label in labels])
+                    bound = 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+                    assert np.all(np.abs(got - ref) <= bound), (order, gamma, gp)
+
+
+def test_label_sequences_keep_their_order_and_repeats(rng):
+    sys = random_system(rng, 4)
+    a, b = TermLabel.parse("cnn,kn"), TermLabel.parse("nnn,nn,n")
+    got = eval_closed_term(sys, [b, a, b], 0.9, 1, 2)
+    singles = [eval_closed_term(sys, label, 0.9, 1, 2) for label in (b, a, b)]
+    assert isinstance(singles[0], complex)
+    np.testing.assert_allclose(got, singles, rtol=1e-14, atol=0.0)
+
+
+def test_eval_rejects_mixed_orders_and_empty_sequences():
+    sys = two_state()
+    with pytest.raises(ValueError, match="labels of one order, got orders \\[2, 3\\]"):
+        eval_closed_term(sys, [TermLabel.parse("c"), TermLabel.parse("cc")], 1.0, 0, 1)
+    with pytest.raises(ValueError, match="labels of one order, got orders \\[\\]"):
+        eval_closed_term(sys, [], 1.0, 0, 1)
+
+
+def test_full_catalog_refuses_a_path_without_a_label(monkeypatch):
+    # A catalog missing "n" leaves the path 0 -> 2 -> 1 without a term; a
+    # request for part of the real catalog simply does not count it.
+    sys = random_system(np.random.default_rng(5), 3)
+    c_only = TermCatalog(order=2, labels=(TermLabel.parse("c"),))
+    assert eval_closed_term(sys, c_only.labels, 1.0, 0, 1)[0] == 0.0
+    monkeypatch.setattr(terms, "enumerate_catalog", lambda l: c_only)
+    with pytest.raises(ValueError, match="path \\[0, 2, 1\\] matches no order-2 label"):
+        eval_closed_term(sys, c_only.labels, 1.0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
