@@ -22,27 +22,18 @@ from .improved import (
     revision_energies,
 )
 from .model import (
-    DegeneracyStructure,
     IncompleteDegeneracyRemoval,
     SplitSystem,
     SystemSpec,
-    ValidationReport,
-    find_degeneracies,
     redivide,
-    validate,
 )
 from .oracle import (
     ExactSolution,
     diagonalize,
     exact_transition_probability,
     hermitian_eigh,
-    two_state_closed_form,
 )
-from .series import (
-    amplitude_order,
-    evolve_truncated,
-    transition_amplitude,
-)
+from .series import amplitude_order
 from .terms import (
     TermCatalog,
     TermLabel,
@@ -54,7 +45,6 @@ from .terms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegeneracyStructure",
     "ExactSolution",
     "GoldenRuleInput",
     "IncompleteDegeneracyRemoval",
@@ -64,16 +54,13 @@ __all__ = [
     "SystemSpec",
     "TermCatalog",
     "TermLabel",
-    "ValidationReport",
     "__version__",
     "amplitude_order",
     "dd_exp",
     "diagonalize",
     "enumerate_catalog",
     "eval_closed_term",
-    "evolve_truncated",
     "exact_transition_probability",
-    "find_degeneracies",
     "golden_rule",
     "hermitian_eigh",
     "improved_amplitude",
@@ -83,7 +70,4 @@ __all__ = [
     "redivide",
     "revision_energies",
     "split_t_power_parts",
-    "transition_amplitude",
-    "two_state_closed_form",
-    "validate",
 ]

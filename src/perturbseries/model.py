@@ -9,8 +9,10 @@ off-diagonal coupling matrix g over shifted energies E' — the only form
 the downstream expansion modules accept, because their energy denominators
 are gaps of E'.
 
-Degeneracy that survives redivision is allowed only when the surviving
-partners are completely decoupled; anything else is flagged as
+The shift can tie levels that were apart, so "this procedure can be
+repeated": each later pass rotates again while a tie still carries
+coupling.  Degeneracy that survives the last pass is allowed only when the
+surviving partners are completely decoupled; anything else is flagged as
 IncompleteDegeneracyRemoval rather than silently producing divergent
 denominators later.
 """
@@ -28,11 +30,7 @@ __all__ = [
     "DEFAULT_DEGENERACY_TOL",
     "IncompleteDegeneracyRemoval",
     "SystemSpec",
-    "DegeneracyStructure",
-    "ValidationReport",
     "SplitSystem",
-    "find_degeneracies",
-    "validate",
     "redivide",
 ]
 
@@ -41,6 +39,9 @@ DEFAULT_DEGENERACY_TOL = 1e-10
 #: Residual couplings between degenerate partners below this multiple of
 #: max|lambda*H1| count as "completely decoupled".
 COUPLING_FLOOR = 1e-12
+
+#: Rotation passes redivision runs before refusing a tie that stays coupled.
+_PASSES = 2
 
 
 class IncompleteDegeneracyRemoval(RuntimeError):
@@ -86,99 +87,6 @@ class SystemSpec:
 
 
 @dataclass(frozen=True)
-class DegeneracyStructure:
-    """Partition of level indices into maximal sets of (near-)equal energy."""
-
-    groups: tuple[tuple[int, ...], ...]
-    tol: float
-
-    @property
-    def degenerate_groups(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(grp for grp in self.groups if len(grp) > 1)
-
-    @property
-    def has_degeneracy(self) -> bool:
-        return any(len(grp) > 1 for grp in self.groups)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate(): what is wrong, and by how much."""
-
-    dimension: int
-    hermiticity_violation: float
-    degeneracies: DegeneracyStructure
-    admissible: bool
-    problems: tuple[str, ...]
-
-
-def find_degeneracies(
-    energies: NDArray[np.float64], tol: float = DEFAULT_DEGENERACY_TOL
-) -> DegeneracyStructure:
-    """Cluster levels whose energies agree within tol (absolute, scaled).
-
-    Clustering is transitive along the sorted energy axis: adjacent gaps
-    below the threshold merge.  The threshold is tol * max(1, max|E|) so
-    the default behaves sensibly for both O(1) and large spectra.
-    """
-    e = np.asarray(energies, dtype=np.float64)
-    n = e.shape[0]
-    threshold = tol * max(1.0, float(np.max(np.abs(e))) if n else 1.0)
-    order = np.argsort(e, kind="stable")
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and abs(e[idx] - e[groups[-1][-1]]) <= threshold:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    # Report groups keyed by their lowest member so output is index-ordered.
-    groups.sort(key=lambda grp: min(grp))
-    return DegeneracyStructure(groups=tuple(tuple(sorted(g)) for g in groups), tol=tol)
-
-
-def validate(spec: SystemSpec, *, tol_deg: float = DEFAULT_DEGENERACY_TOL) -> ValidationReport:
-    """Check a SystemSpec for structural and physical admissibility.
-
-    Raises ValueError for malformed shapes or non-finite entries; soft
-    problems (Hermiticity violation, negative coupling scale) come back in
-    the report with admissible=False.
-    """
-    e = spec.energies
-    m = spec.h1
-    if e.ndim != 1 or e.shape[0] < 1:
-        raise ValueError(f"energies must be a non-empty 1-d array, got shape {e.shape}")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("energies contain non-finite entries")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"perturbation matrix must be square, got shape {m.shape}")
-    if m.shape[0] != e.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {e.shape[0]} energies vs {m.shape[0]}x{m.shape[1]} matrix"
-        )
-    if not np.all(np.isfinite(m)):
-        raise ValueError("perturbation matrix contains non-finite entries")
-
-    problems: list[str] = []
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    violation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if violation > 1e-12 * max(scale, 1e-300):
-        problems.append(
-            f"perturbation is not Hermitian: max |H1 - H1^dagger| = {violation:.3e} "
-            f"(scale {scale:.3e})"
-        )
-    if not np.isfinite(spec.coupling_scale) or spec.coupling_scale < 0:
-        problems.append(f"coupling_scale must be a finite non-negative real, got {spec.coupling_scale}")
-
-    return ValidationReport(
-        dimension=spec.dimension,
-        hermiticity_violation=violation,
-        degeneracies=find_degeneracies(e, tol_deg),
-        admissible=not problems,
-        problems=tuple(problems),
-    )
-
-
-@dataclass(frozen=True)
 class SplitSystem:
     """Redivided working representation: H = diag(E') + g in a rotated basis.
 
@@ -197,7 +105,6 @@ class SplitSystem:
     basis_rotation: NDArray[np.complex128]
     energies_original: NDArray[np.float64]
     redivided: bool = True
-    tol_deg: float = DEFAULT_DEGENERACY_TOL
 
     def __post_init__(self) -> None:
         dtypes = {
@@ -272,18 +179,67 @@ def _refuse_coupled_ties(
         raise IncompleteDegeneracyRemoval(pair + why)
 
 
+def _validate(spec: SystemSpec) -> None:
+    """Raise ValueError unless spec is well-formed, finite and admissible.
+
+    Admissible means a Hermitian perturbation (to 1e-12 of its largest
+    entry) and a finite non-negative coupling scale; every such problem
+    found goes into one message.
+    """
+    e = spec.energies
+    m = spec.h1
+    if e.ndim != 1 or e.shape[0] < 1:
+        raise ValueError(f"energies must be a non-empty 1-d array, got shape {e.shape}")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("energies contain non-finite entries")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"perturbation matrix must be square, got shape {m.shape}")
+    if m.shape[0] != e.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: {e.shape[0]} energies vs {m.shape[0]}x{m.shape[1]} matrix"
+        )
+    if not np.all(np.isfinite(m)):
+        raise ValueError("perturbation matrix contains non-finite entries")
+
+    problems: list[str] = []
+    scale = float(np.max(np.abs(m)))
+    violation = float(np.max(np.abs(m - m.conj().T)))
+    if violation > 1e-12 * max(scale, 1e-300):
+        problems.append(
+            f"perturbation is not Hermitian: max |H1 - H1^dagger| = {violation:.3e} "
+            f"(scale {scale:.3e})"
+        )
+    if not np.isfinite(spec.coupling_scale) or spec.coupling_scale < 0:
+        problems.append(f"coupling_scale must be a finite non-negative real, got {spec.coupling_scale}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def _ties(energies: NDArray[np.float64], tol: float) -> list[NDArray[np.intp]]:
+    """Groups of (near-)equal levels as ascending indices, lowest index first.
+
+    Levels tie transitively along the sorted energy axis: neighbour gaps
+    up to tol * max(1, max|E|) join, so the threshold suits both O(1) and
+    large spectra.  Levels that tie with none are left out.
+    """
+    threshold = tol * max(1.0, float(np.max(np.abs(energies))))
+    order = np.argsort(energies, kind="stable")
+    joined = np.diff(energies[order]) <= threshold
+    if not joined.any():
+        return []
+    runs =np.split(order, np.flatnonzero(~joined) + 1)
+    return sorted((np.sort(run) for run in runs if run.size > 1), key=lambda idx: idx[0])
+
+
 def _group_rotation(
     energies: NDArray[np.float64],
     coupling: NDArray[np.complex128],
-    groups: tuple[tuple[int, ...], ...],
+    groups: list[NDArray[np.intp]],
 ) -> NDArray[np.complex128]:
     """Block-diagonal unitary diagonalizing diag(E)+coupling inside each group."""
     n = energies.shape[0]
     q = np.eye(n, dtype=np.complex128)
-    for grp in groups:
-        if len(grp) < 2:
-            continue
-        idx = np.asarray(grp)
+    for idx in groups:
         block = np.diag(energies[idx]).astype(np.complex128) + coupling[np.ix_(idx, idx)]
         _, vecs = hermitian_eigh(block)
         q[np.ix_(idx, idx)] = vecs
@@ -307,6 +263,11 @@ def redivide(
 ) -> SplitSystem:
     """Absorb the perturbation diagonal and degenerate-block eigenvalues into E.
 
+    Pass 0 rotates every group of tied input levels.  Each later pass scans
+    the shifted energies once and, while some tied group still carries
+    coupling, rotates all tied groups again; after ``_PASSES`` passes such
+    a group is refused.
+
     With enabled=False the split is the trivial one (E' = E, g = full
     scaled perturbation including its diagonal); the series kernel handles
     the resulting repeated energy nodes exactly, which is occasionally
@@ -314,14 +275,11 @@ def redivide(
     accepts such a system.
 
     Raises:
-        ValueError: the spec fails validation.
+        ValueError: the spec is malformed or not admissible.
         IncompleteDegeneracyRemoval: degenerate levels remain coupled
-            after rotation (see class docstring).
+            after the last pass (see class docstring).
     """
-    report = validate(spec, tol_deg=tol_deg)
-    if not report.admissible:
-        raise ValueError("; ".join(report.problems))
-
+    _validate(spec)
     n = spec.dimension
     h_eff = spec.coupling_scale * spec.h1
     if not enabled:
@@ -331,42 +289,28 @@ def redivide(
             basis_rotation=np.eye(n, dtype=np.complex128),
             energies_original=spec.energies.copy(),
             redivided=False,
-            tol_deg=tol_deg,
         )
 
     h_full = spec.hamiltonian()
-    coupling_scale = float(np.max(np.abs(h_eff))) if h_eff.size else 0.0
-    floor = COUPLING_FLOOR * max(coupling_scale, 1e-300)
-
-    q = _group_rotation(spec.energies, h_eff, report.degeneracies.groups)
+    floor = COUPLING_FLOOR * max(float(np.max(np.abs(h_eff))), 1e-300)
+    q = _group_rotation(spec.energies, h_eff, _ties(spec.energies, tol_deg))
     e_new, g = _split(h_full, q)
-
-    # Shifted energies may tie where the originals did not ("this procedure
-    # can be repeated"): one more rotation pass over any newly tied group
-    # that still carries coupling.
-    second = find_degeneracies(e_new, tol_deg)
-    needs_second = any(
-        np.max(np.abs(g[np.ix_(np.asarray(grp), np.asarray(grp))])) > floor
-        for grp in second.degenerate_groups
-    )
-    if needs_second:
-        q2 = _group_rotation(e_new, g, second.groups)
-        q = q @ q2
-        e_new, g = _split(h_full, q)
-
-    # Whatever still ties must be fully decoupled, else the expansion's
-    # energy denominators for that pair are 0/nonzero.
-    final = find_degeneracies(e_new, tol_deg)
-    for grp in final.degenerate_groups:
-        idx = np.asarray(grp)
-        block = g[np.ix_(idx, idx)]
-        worst = float(np.max(np.abs(block)))
-        if worst > floor:
-            pair = np.unravel_index(int(np.argmax(np.abs(block))), block.shape)
+    for done in range(1, _PASSES + 1):  # rotation passes run so far
+        ties = _ties(e_new, tol_deg)
+        coupled = [idx for idx in ties if np.max(np.abs(g[np.ix_(idx, idx)])) > floor]
+        if not coupled:
+            break
+        if done == _PASSES:
+            # A coupled tie makes the expansion's denominators 0/nonzero.
+            idx = coupled[0]
+            block = np.abs(g[np.ix_(idx, idx)])
+            i, j = np.unravel_index(int(np.argmax(block)), block.shape)
             raise IncompleteDegeneracyRemoval(
-                f"levels {grp[pair[0]]} and {grp[pair[1]]} remain degenerate "
-                f"(tol {tol_deg:g}) with residual coupling {worst:.3e}"
+                f"levels {idx[i]} and {idx[j]} remain degenerate "
+                f"(tol {tol_deg:g}) with residual coupling {float(np.max(block)):.3e}"
             )
+        q = q @ _group_rotation(e_new, g, ties)
+        e_new, g = _split(h_full, q)
 
     return SplitSystem(
         energies_redivided=e_new,
@@ -374,5 +318,4 @@ def redivide(
         basis_rotation=q,
         energies_original=spec.energies.copy(),
         redivided=True,
-        tol_deg=tol_deg,
     )

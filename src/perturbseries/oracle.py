@@ -3,8 +3,7 @@
 Everything downstream is compared against this module: a dense Hermitian
 eigensolver (LAPACK ``zheevd`` through ``numpy.linalg.eigh``, with a
 deterministic phase per eigenvector), the exact propagator built from the
-spectral decomposition, exact transition probabilities, and the
-closed-form solution of the coupled two-level system.  The eigensolver
+spectral decomposition, and exact transition probabilities.  The eigensolver
 shares no code with the series/kernel machinery it is checking; the tests
 check it in turn against a cyclic Jacobi solver (``tests/jacobi.py``).
 Every report compares in absolute terms, so Jacobi's high relative
@@ -28,7 +27,6 @@ __all__ = [
     "hermitian_eigh",
     "diagonalize",
     "exact_transition_probability",
-    "two_state_closed_form",
 ]
 
 
@@ -129,38 +127,3 @@ def exact_transition_probability(
     if ts.ndim == 0:
         return float(prob[0])
     return prob
-
-
-def two_state_closed_form(
-    e1: float,
-    e2: float,
-    v: complex,
-    t: float | NDArray[np.float64],
-) -> dict[str, float | NDArray[np.float64]]:
-    """Closed-form solution of the coupled two-level system.
-
-    For H = [[e1, v], [conj(v), e2]] with e2 > e1 the exact level energies
-    split symmetrically about the mean by the dressed frequency
-    sqrt(4|v|^2 + (e2-e1)^2), and the 1 -> 2 transition probability is the
-    textbook oscillation at that frequency.
-
-    Returns a dict with keys "e1", "e2" (exact level energies, ascending),
-    "omega" (dressed frequency), and "p12" (transition probability at t,
-    scalar or array matching t).
-    """
-    omega0 = e2 - e1
-    if omega0 <= 0:
-        raise ValueError(f"requires e2 > e1, got e1={e1}, e2={e2}")
-    vv = abs(v)
-    omega = float(np.sqrt(4.0 * vv * vv + omega0 * omega0))
-    mean = 0.5 * (e1 + e2)
-    ts = np.asarray(t, dtype=np.float64)
-    p = vv * vv * np.sin(omega * ts / 2.0) ** 2 / (omega / 2.0) ** 2
-    if ts.ndim == 0:
-        p = float(p)
-    return {
-        "e1": mean - 0.5 * omega,
-        "e2": mean + 0.5 * omega,
-        "omega": omega,
-        "p12": p,
-    }

@@ -25,10 +25,7 @@ from .model import SplitSystem
 __all__ = [
     "DEFAULT_L_MAX",
     "AmplitudeMatrix",
-    "StateVector",
     "amplitude_order",
-    "evolve_truncated",
-    "transition_amplitude",
 ]
 
 #: Highest expansion order supported by default.  Closed-form cross-checks
@@ -63,30 +60,6 @@ class AmplitudeMatrix:
         return int(self.values.shape[0])
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Expansion coefficients of a state in the working level basis."""
-
-    coefficients: NDArray[np.complex128]
-
-    def __post_init__(self) -> None:
-        coeff = np.atleast_1d(np.array(self.coefficients, dtype=np.complex128, copy=True))
-        if coeff.ndim != 1 or coeff.shape[0] < 1:
-            raise ValueError(f"coefficients must be a non-empty vector, got shape {coeff.shape}")
-        if not np.all(np.isfinite(coeff)):
-            raise ValueError("state coefficients contain non-finite entries")
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.coefficients.shape[0])
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-
 def _amplitude_blocks(sys: SplitSystem, L: int, ts: NDArray[np.float64]) -> NDArray[np.complex128]:
     """Amplitude matrices of orders 0..L at each time, shape (L + 1, T, N, N)."""
     energies = np.asarray(sys.energies_redivided, dtype=np.float64)
@@ -117,45 +90,6 @@ def amplitude_order(
     _check_order(l, l_max)
     values = _amplitude_blocks(sys, l, np.array([float(t)]))[l, 0]
     return AmplitudeMatrix(order=l, t=float(t), values=values)
-
-
-def evolve_truncated(
-    sys: SplitSystem,
-    psi0: StateVector,
-    t: float,
-    L: int,
-    *,
-    l_max: int = DEFAULT_L_MAX,
-) -> StateVector:
-    """Apply the expansion truncated at order L to an initial state."""
-    _check_order(L, l_max)
-    if psi0.dimension != sys.dimension:
-        raise ValueError(
-            f"state dimension {psi0.dimension} does not match system dimension {sys.dimension}"
-        )
-    if psi0.norm == 0.0:
-        raise ValueError("initial state has zero norm")
-    total = _truncated_sum_grid(sys, L, np.array([float(t)]))[0]
-    return StateVector(coefficients=total @ psi0.coefficients)
-
-
-def transition_amplitude(
-    sys: SplitSystem,
-    from_level: int,
-    to_level: int,
-    t: float,
-    L: int,
-    *,
-    l_max: int = DEFAULT_L_MAX,
-) -> complex:
-    """Truncated amplitude for the transition from_level -> to_level."""
-    _check_order(L, l_max)
-    n = sys.dimension
-    for name, idx in (("from_level", from_level), ("to_level", to_level)):
-        if not 0 <= idx < n:
-            raise ValueError(f"{name} {idx} outside 0..{n - 1}")
-    total = _truncated_sum_grid(sys, L, np.array([float(t)]))[0]
-    return complex(total[to_level, from_level])
 
 
 def _truncated_sum_grid(

@@ -17,11 +17,11 @@ import perturbseries
 from perturbseries.cli import RunConfig, _parse_g_orders, main, parse_spec_file, run
 from perturbseries.improved import GoldenRuleInput, golden_rule, improved_transition_probability
 from perturbseries.model import SystemSpec, redivide
-from perturbseries.oracle import two_state_closed_form
 from perturbseries.series import amplitude_order
 
 from dd_blocks_loop import dd_blocks_loop
 from helpers import two_state
+from two_state_closed import two_state_closed_form
 
 
 def write_two_state_file(path, v=0.1):

@@ -7,12 +7,9 @@ import pytest
 
 from helpers import random_hermitian, spaced_energies
 from perturbseries.model import (
-    DEFAULT_DEGENERACY_TOL,
     IncompleteDegeneracyRemoval,
     SystemSpec,
-    find_degeneracies,
     redivide,
-    validate,
 )
 
 
@@ -153,21 +150,20 @@ def test_validate_reports_non_hermitian():
         energies=np.array([0.0, 1.0]),
         h1=np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex),
     )
-    report = validate(spec)
-    assert not report.admissible
-    assert report.hermiticity_violation == pytest.approx(0.1, abs=1e-15)
-    assert any("Hermitian" in p for p in report.problems)
-    with pytest.raises(ValueError, match="Hermitian"):
+    message = r"^perturbation is not Hermitian: max \|H1 - H1\^dagger\| = 1\.000e-01 \(scale 2\.000e-01\)$"
+    with pytest.raises(ValueError, match=message):
         redivide(spec)
+    with pytest.raises(ValueError, match=message):
+        redivide(spec, enabled=False)
 
 
 def test_validate_rejects_malformed_shapes():
     with pytest.raises(ValueError, match="square"):
-        validate(SystemSpec(energies=np.array([0.0, 1.0]), h1=np.zeros((2, 3))))
+        redivide(SystemSpec(energies=np.array([0.0, 1.0]), h1=np.zeros((2, 3))))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        validate(SystemSpec(energies=np.array([0.0, 1.0, 2.0]), h1=np.zeros((2, 2))))
+        redivide(SystemSpec(energies=np.array([0.0, 1.0, 2.0]), h1=np.zeros((2, 2))))
     with pytest.raises(ValueError, match="non-finite"):
-        validate(
+        redivide(
             SystemSpec(energies=np.array([0.0, np.inf]), h1=np.zeros((2, 2)))
         )
 
@@ -176,31 +172,47 @@ def test_validate_rejects_negative_coupling_scale():
     spec = SystemSpec(
         energies=np.array([0.0, 1.0]), h1=np.zeros((2, 2)), coupling_scale=-1.0
     )
-    report = validate(spec)
-    assert not report.admissible
+    with pytest.raises(ValueError, match=r"^coupling_scale must be a finite non-negative real, got -1\.0$"):
+        redivide(spec)
 
 
 def test_validate_accepts_clean_system(rng):
-    report = validate(_random_spec(rng, 3))
-    assert report.admissible
-    assert report.problems == ()
-    assert report.dimension == 3
+    split = redivide(_random_spec(rng, 3))
+    assert split.redivided
+    assert split.dimension == 3
+
+
+def _rotated_pairs(split) -> set[tuple[int, int]]:
+    """Level pairs that the basis rotation mixes."""
+    q = split.basis_rotation
+    return {(a, b) for a, b in np.argwhere(q != 0) if a < b}
+
+
+def _all_coupled(n: int, v: float = 0.01) -> np.ndarray:
+    return np.full((n, n), v, dtype=complex) - np.diag(np.full(n, v))
 
 
 def test_find_degeneracies_groups_transitively():
-    e = np.array([0.0, 1.0, 1.0 + 5e-11, 2.0])
-    st = find_degeneracies(e, DEFAULT_DEGENERACY_TOL)
-    assert st.degenerate_groups == ((1, 2),)
-    assert st.has_degeneracy
+    # Neighbour gaps of 1.5e-10 join under the threshold 1e-10 * max|E| =
+    # 2e-10, so levels 1 and 3, 3e-10 apart, share one rotated block.
+    spec = SystemSpec(
+        energies=np.array([0.0, 1.0, 1.0 + 1.5e-10, 1.0 + 3e-10, 2.0]), h1=_all_coupled(5)
+    )
+    assert _rotated_pairs(redivide(spec)) == {(1, 2), (1, 3), (2, 3)}
+    pair = SystemSpec(energies=np.array([0.0, 1.0, 1.0 + 5e-11, 2.0]), h1=_all_coupled(4))
+    assert _rotated_pairs(redivide(pair)) == {(1, 2)}
 
 
 def test_find_degeneracies_threshold_scales_with_spectrum():
-    # 5e-7 apart: distinct for an O(1) spectrum, merged when max|E| ~ 1e4
-    # (the threshold is tol * max(1, max|E|)).
-    near = np.array([0.0, 5e-7])
-    assert not find_degeneracies(near, 1e-10).has_degeneracy
-    large = np.array([0.0, 5e-7, 1e4])
-    assert find_degeneracies(large, 1e-10).degenerate_groups == ((0, 1),)
+    # 5e-7 apart: distinct for an O(1) spectrum, rotated as a tied pair when
+    # max|E| ~ 1e4 (the threshold is tol * max(1, max|E|)).
+    near = SystemSpec(energies=np.array([0.0, 5e-7]), h1=_all_coupled(2))
+    assert _rotated_pairs(redivide(near, tol_deg=1e-10)) == set()
+    large = SystemSpec(energies=np.array([0.0, 5e-7, 1e4]), h1=_all_coupled(3))
+    assert _rotated_pairs(redivide(large, tol_deg=1e-10)) == {(0, 1)}
+    # A gap exactly at the threshold still ties.
+    edge = SystemSpec(energies=np.array([0.0, 0.5]), h1=_all_coupled(2))
+    assert _rotated_pairs(redivide(edge, tol_deg=0.5)) == {(0, 1)}
 
 
 def test_degeneracy_tolerance_flag():

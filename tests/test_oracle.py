@@ -14,8 +14,8 @@ from perturbseries.oracle import (
     diagonalize,
     exact_transition_probability,
     hermitian_eigh,
-    two_state_closed_form,
 )
+from two_state_closed import two_state_closed_form
 
 
 # hermitian_eigh is numpy's eigh, so these two check the Jacobi oracle that

@@ -11,12 +11,9 @@ from perturbseries.model import SplitSystem
 from perturbseries.oracle import diagonalize
 from perturbseries.series import (
     AmplitudeMatrix,
-    StateVector,
     _amplitude_blocks,
     _truncated_sum_grid,
     amplitude_order,
-    evolve_truncated,
-    transition_amplitude,
 )
 
 from helpers import random_hermitian, random_system, two_state
@@ -227,38 +224,6 @@ def test_grid_equals_sum_of_orders(rng):
         np.testing.assert_allclose(grid[i], total, rtol=1e-13, atol=1e-15)
 
 
-def test_evolve_matches_transition_amplitudes(rng):
-    sys = random_system(rng, 3)
-    t, L = 2.1, 4
-    psi0 = StateVector(coefficients=np.array([0.0, 1.0, 0.0]))
-    evolved = evolve_truncated(sys, psi0, t, L)
-    for final in range(3):
-        direct = transition_amplitude(sys, 1, final, t, L)
-        assert evolved.coefficients[final] == pytest.approx(direct, rel=1e-13)
-
-
-def test_evolve_superposition_is_linear(rng):
-    sys = random_system(rng, 3)
-    t, L = 1.5, 3
-    e0 = StateVector(coefficients=np.array([1.0, 0.0, 0.0]))
-    e2 = StateVector(coefficients=np.array([0.0, 0.0, 1.0]))
-    mix = StateVector(coefficients=np.array([0.6, 0.0, 0.8j]))
-    lhs = evolve_truncated(sys, mix, t, L).coefficients
-    rhs = (
-        0.6 * evolve_truncated(sys, e0, t, L).coefficients
-        + 0.8j * evolve_truncated(sys, e2, t, L).coefficients
-    )
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-16)
-
-
-def test_evolve_rejects_bad_states(rng):
-    sys = random_system(rng, 3)
-    with pytest.raises(ValueError, match="does not match system dimension"):
-        evolve_truncated(sys, StateVector(coefficients=np.ones(4)), 1.0, 2)
-    with pytest.raises(ValueError, match="zero norm"):
-        evolve_truncated(sys, StateVector(coefficients=np.zeros(3)), 1.0, 2)
-
-
 def test_order_validation(rng):
     sys = random_system(rng, 2)
     with pytest.raises(ValueError, match="outside supported range"):
@@ -279,22 +244,9 @@ def test_order_cap_is_adjustable(rng):
     np.testing.assert_allclose(got, corner_block_oracle(sys, 7, 1.0), rtol=1e-11, atol=1e-14)
 
 
-def test_transition_amplitude_level_range(rng):
-    sys = random_system(rng, 3)
-    with pytest.raises(ValueError, match="from_level"):
-        transition_amplitude(sys, 3, 0, 1.0, 2)
-    with pytest.raises(ValueError, match="to_level"):
-        transition_amplitude(sys, 0, -1, 1.0, 2)
-
-
 def test_amplitude_matrix_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         AmplitudeMatrix(order=1, t=0.0, values=np.zeros((2, 3)))
-
-
-def test_state_vector_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
-        StateVector(coefficients=np.array([1.0, np.inf]))
 
 
 def test_returned_values_are_frozen(rng):
