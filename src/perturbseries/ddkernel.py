@@ -25,6 +25,7 @@ energies on the diagonal and the coupling above.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import factorial
 
@@ -42,10 +43,11 @@ __all__ = ["NodeList", "dd_exp"]
 _TAYLOR_ORDER = 13
 _SCALE_LIMIT = 0.5
 
-#: Bytes of block array that `_dd_blocks` carries per chunk of times.  The
-#: chunk's block-sized buffers then stay in a 2 MB L2 cache; with all 101
-#: times in one chunk, the whole-array updates ran about 10% slower than
-#: per-order updates at N = 12 and about 20% slower at N = 48.
+#: Bytes of block array that `_dd_blocks` carries per chunk of rows (one
+#: row per distinct scaled step).  The chunk's block-sized buffers then stay
+#: in a 2 MB L2 cache; with all 101 times in one chunk, the whole-array
+#: updates ran about 10% slower than per-order updates at N = 12 and about
+#: 20% slower at N = 48.
 _CHUNK_BYTES = 1 << 19
 
 
@@ -122,11 +124,22 @@ def _dd_blocks(
     is carried as a vector.
 
     The exponential is `_dd_value`'s mean-shifted Taylor scaling and
-    squaring, with the scaling chosen per time.  Block l is homogeneous of
-    degree l in g, so only the diagonal part sets the scaling, and the
-    Taylor degree grows with L so that block L is truncated at the same
-    relative order as block 0.  Times are independent, so long grids run in
-    chunks of at most `_CHUNK_BYTES` of blocks.
+    squaring, with the scaling chosen per time: time t is scaled to the step
+    -i*t/2^s.  Block l is homogeneous of degree l in g, so only the diagonal
+    part sets the scaling, and the Taylor degree grows with L so that block
+    L is truncated at the same relative order as block 0.
+
+    Times whose scaled steps agree bit for bit share one row: the Taylor
+    phase runs once per row, the squaring passes square the row up to the
+    count of its deepest time, and every other time of the row takes the
+    row's blocks at the pass that reaches its own count.  A time belongs to
+    the row keyed by the bytes of its step, so 0.0 and -0.0 stay apart.
+    Doubling |t| doubles the reach and adds one squaring, so t and 2t share
+    a row once t's reach exceeds a quarter, and exp(-2i*t*M) comes out as
+    the square of exp(-i*t*M) bit for bit.  On a `linspace(0, T, K)` grid,
+    where t_2k = 2 t_k, about half the times need their own row.  Long
+    grids run in chunks of rows with at most `_CHUNK_BYTES` of blocks; a
+    row never crosses a chunk.
     """
     n, times = energies.shape[0], ts.shape[0]
     mu = float(energies.mean())
@@ -135,52 +148,72 @@ def _dd_blocks(
     squarings = np.zeros(times, dtype=np.int64)
     over = reach > _SCALE_LIMIT
     squarings[over] = np.ceil(np.log2(reach[over] / _SCALE_LIMIT))
-    # Times sorted by squaring count, so each squaring pass works on a
-    # trailing slice; an increasing grid of |t| is already in this order.
-    order = np.argsort(squarings, kind="stable")
-    squarings, ts = squarings[order], ts[order]
     step = -1j * ts / 2.0**squarings
-    diag = step[:, None] * centered
     phase = np.exp(-1j * mu * ts)[:, None, None]
+
+    # The times of each distinct step as (squarings, index) pairs in squaring
+    # order; rows sorted by the squaring count of their deepest time, so each
+    # squaring pass works on a trailing slice.
+    key = step.tobytes()
+    shared: dict[bytes, list[tuple[int, int]]] = {}
+    for k, s in enumerate(squarings.tolist()):
+        shared.setdefault(key[16 * k : 16 * k + 16], []).append((s, k))
+    rows = sorted((sorted(row) for row in shared.values()), key=lambda row: row[-1])
 
     out = np.zeros((L + 1, times, n, n), dtype=np.complex128)
     span = max(1, _CHUNK_BYTES // (16 * max(L, 1) * n * n))
-    for lo in range(0, times, span):
-        chunk = slice(lo, lo + span)
-        blocks = _centered_blocks(diag[chunk], step[chunk], squarings[chunk], g, L)
-        np.multiply(blocks, phase[chunk], out=out[1:, chunk])
+    for lo in range(0, len(rows), span):
+        chunk = rows[lo : lo + span]
+        deepest = _slots([row[-1][1] for row in chunk])
+        # The other times of a row take its blocks when the passes reach
+        # their own squaring count: taps[s] lists them and their rows.
+        taps: dict[int, tuple[list[int], list[int]]] = {}
+        for r, row in enumerate(chunk):
+            for s, k in row[:-1]:
+                ks, rs = taps.setdefault(s, ([], []))
+                ks.append(k)
+                rs.append(r)
+        diag = step[deepest, None] * centered
+        passes = _centered_blocks(diag, step[deepest], squarings[deepest], g, L)
+        for done, blocks in enumerate(passes):
+            if done in taps:
+                ks, rs = taps[done]
+                out[1:, _slots(ks)] = blocks[:, _slots(rs)]
+        out[1:, deepest] = blocks  # after the last pass, every row at its own depth
+    out[1:] *= phase
     idx = np.arange(n)
     out[0][:, idx, idx] = np.exp(-1j * np.outer(ts, energies))
-    if not np.array_equal(order, np.arange(times)):
-        out = out[:, np.argsort(order)]
     return out
 
 
-def _centered_blocks(
-    diag: NDArray[np.complex128],
-    step: NDArray[np.complex128],
-    squarings: NDArray[np.int64],
-    g: NDArray[np.complex128],
-    L: int,
-) -> NDArray[np.complex128]:
-    """Blocks 1..L of the first block row of the mean-shifted exponential.
+def _slots(idx: list[int]) -> slice | NDArray[np.intp]:
+    """``idx`` as a slice where it counts up by one, else as an index array."""
+    if idx == list(range(idx[0], idx[0] + len(idx))):
+        return slice(idx[0], idx[0] + len(idx))
+    return np.array(idx)
 
-    One chunk of times, sorted by squaring count: ``diag[k]`` is the scaled
-    centered diagonal and ``step[k]`` the scaled coupling factor at time k.
-    A Taylor step updates all L blocks with a fixed number of whole-array
-    operations, whatever L is, and a squaring adds its block products with
-    one batched product per left factor.  Each entry still goes through the
-    same floating-point operations, in the same order, as under a loop over
-    the orders (`tests/test_dd_blocks.py` holds the two equal bit for bit).
+
+def _taylor(
+    diag: NDArray[np.complex128], step: NDArray[np.complex128], g: NDArray[np.complex128], L: int
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """Taylor polynomial of the scaled, mean-shifted block matrix, one row per step.
+
+    ``diag[r]`` is the scaled centered diagonal and ``step[r]`` the scaled
+    coupling factor of row r.  Returns block 0 of the first block row as a
+    vector (rows, N) and blocks 1..L as an (L, rows, N, N) array.  A Taylor
+    step updates all L blocks with a fixed number of whole-array operations,
+    whatever L is.  Each entry still goes through the same floating-point
+    operations, in the same order, as under a loop over the orders
+    (`tests/test_dd_blocks.py` holds the two equal bit for bit).
     """
-    times, n = diag.shape
-    upper = np.zeros((L, times, n, n), dtype=np.complex128)
+    rows, n = diag.shape
+    upper = np.zeros((L, rows, n, n), dtype=np.complex128)
     below = np.empty_like(upper)
     # diag and step spread over each N x N block, so the per-step products
     # run as flat loops over the block array.
-    cols = np.broadcast_to(diag[:, None, :], (times, n, n)).copy()
-    steps = np.broadcast_to(step[:, None, None], (times, n, n)).copy()
-    r0 = np.ones((times, n), dtype=np.complex128)
+    cols = np.broadcast_to(diag[:, None, :], (rows, n, n)).copy()
+    steps = np.broadcast_to(step[:, None, None], (rows, n, n)).copy()
+    r0 = np.ones((rows, n), dtype=np.complex128)
 
     # Horner form of the truncated Taylor series of the scaled matrix, whose
     # first block row is (diag(diag), step * g): new block l is
@@ -193,22 +226,43 @@ def _centered_blocks(
         upper += below
         upper /= k
         r0 = 1.0 + r0 * diag / k
+    return r0, upper
 
+
+def _centered_blocks(
+    diag: NDArray[np.complex128],
+    step: NDArray[np.complex128],
+    depth: NDArray[np.int64],
+    g: NDArray[np.complex128],
+    L: int,
+) -> Iterator[NDArray[np.complex128]]:
+    """Blocks 1..L of the first block row of the mean-shifted exponential.
+
+    One chunk of rows, sorted by squaring depth: ``diag[r]`` and ``step[r]``
+    are as in `_taylor`, and row r is squared ``depth[r]`` times, in place.
+    Each pass works on the trailing slice of rows still short of their
+    depth.  Yields the (L, rows, N, N) block array before the first pass and
+    after every pass: after pass p, every row of depth p or more holds p
+    squarings.  A squaring adds its block products with one batched product
+    per left factor, in the order of the per-order loop.
+    """
+    r0, upper = _taylor(diag, step, g, L)
     acc = np.empty_like(upper)
-    passes = np.arange(squarings.max(initial=0))
-    for first in np.searchsorted(squarings, passes, side="right"):
-        a0, blocks, square, prod = r0[first:], upper[:, first:], acc[:, first:], below[:, first:]
+    prod = np.empty_like(upper)
+    yield upper
+    for first in np.searchsorted(depth, np.arange(depth[-1]), side="right"):
+        a0, blocks, square, part = r0[first:], upper[:, first:], acc[:, first:], prod[:, first:]
         # Block l of the square is a0 r_l + r_l a0 + sum_{i=1}^{l-1} r_i @ r_{l-i},
         # the products added in increasing i.
         np.multiply(a0[:, :, None], blocks, out=square)
-        np.multiply(blocks, a0[:, None, :], out=prod)
-        square += prod
+        np.multiply(blocks, a0[:, None, :], out=part)
+        square += part
         for i in range(1, L):
-            np.matmul(blocks[i - 1], blocks[: L - i], out=prod[: L - i])
-            square[i:] += prod[: L - i]
+            np.matmul(blocks[i - 1], blocks[: L - i], out=part[: L - i])
+            square[i:] += part[: L - i]
         blocks[...] = square
         r0[first:] = a0 * a0
-    return upper
+        yield upper
 
 
 def dd_exp(node_list: NodeList) -> complex:

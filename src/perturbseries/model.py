@@ -227,7 +227,7 @@ def _ties(energies: NDArray[np.float64], tol: float) -> list[NDArray[np.intp]]:
     joined = np.diff(energies[order]) <= threshold
     if not joined.any():
         return []
-    runs =np.split(order, np.flatnonzero(~joined) + 1)
+    runs = np.split(order, np.flatnonzero(~joined) + 1)
     return sorted((np.sort(run) for run in runs if run.size > 1), key=lambda idx: idx[0])
 
 
@@ -275,11 +275,15 @@ def redivide(
     accepts such a system.
 
     Raises:
-        ValueError: the spec is malformed or not admissible.
+        ValueError: the spec is malformed or not admissible, or tol_deg is
+            negative or not finite (checked also with enabled=False).
         IncompleteDegeneracyRemoval: degenerate levels remain coupled
             after the last pass (see class docstring).
     """
     _validate(spec)
+    if not (np.isfinite(tol_deg) and tol_deg >= 0):
+        # a NaN or negative tolerance would tie no levels, not even equal ones
+        raise ValueError(f"tol_deg must be a finite non-negative real, got {tol_deg}")
     n = spec.dimension
     h_eff = spec.coupling_scale * spec.h1
     if not enabled:

@@ -575,6 +575,24 @@ def test_missing_input_file_fails_cleanly(tmp_path, runner):
     assert list(tmp_path.iterdir()) == []  # no report, no temp file
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["energies"], ["energies", "--no-redivision"], ["evolve"], ["two-state", "--e2", "0"]],
+)
+def test_bad_tol_deg_fails_without_partial_output(tmp_path, runner, command, value):
+    # levels [0, 0] coupled by 0.1: the refusal names the tolerance, not the tie
+    inp = _write_system(tmp_path / "sys.json", [0.0, 0.0], [[0, 0.1], [0.1, 0]])
+    out = tmp_path / "never.csv"
+    source = [] if command[0] == "two-state" else ["--input", str(inp)]
+    argv = [*command, *source, "--output", str(out), "--tol-deg", value]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert f"tol_deg must be a finite non-negative real, got {float(value)!r}" in result.output
+    assert "degenerate" not in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["sys.json"]
+
+
 def test_bad_level_fails_without_partial_output(tmp_path, runner):
     inp = write_two_state_file(tmp_path / "sys.json")
     out = tmp_path / "never.csv"

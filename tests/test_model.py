@@ -226,6 +226,24 @@ def test_degeneracy_tolerance_flag():
     assert np.max(np.abs(tight.g)) == pytest.approx(0.01, rel=1e-12)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("tol, shown", [(-1.0, "-1.0"), (float("nan"), "nan"), (float("inf"), "inf")])
+def test_redivide_refuses_a_tolerance_that_is_negative_or_not_finite(tol, shown, enabled):
+    # [0, 0] coupled by 0.1: a NaN or negative tolerance would leave the
+    # exact tie unrotated and coupled
+    spec = SystemSpec(energies=np.zeros(2), h1=np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex))
+    with pytest.raises(ValueError, match=rf"^tol_deg must be a finite non-negative real, got {shown}$"):
+        redivide(spec, tol_deg=tol, enabled=enabled)
+
+
+def test_redivide_accepts_a_zero_tolerance():
+    # only exactly equal levels tie
+    spec = SystemSpec(energies=np.zeros(2), h1=np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex))
+    split = redivide(spec, tol_deg=0.0)
+    np.testing.assert_allclose(split.energies_redivided, [-0.1, 0.1], atol=1e-15)
+    assert np.max(np.abs(split.g)) < 1e-15
+
+
 def test_spec_arrays_are_immutable(rng):
     spec = _random_spec(rng, 3)
     with pytest.raises((ValueError, RuntimeError)):
