@@ -39,7 +39,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,13 +102,17 @@ class RunConfig:
         return np.linspace(self.t_start, self.t_end, self.t_steps)
 
 
+# Python's JSON decoder gives a number exactly this type; bool is neither.
+_NUMBER = frozenset({int, float})
+
+
 def _require_pair(entry: object, where: str) -> complex:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+    if type(entry) in _NUMBER:
         return complex(float(entry), 0.0)
     if (
         isinstance(entry, (list, tuple))
         and len(entry) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+        and _NUMBER.issuperset(map(type, entry))
     ):
         return complex(float(entry[0]), float(entry[1]))
     raise ValueError(f"{where} must be a number or a [re, im] pair, got {entry!r}")
@@ -121,13 +125,13 @@ def _spec_from_document(doc: object, source: str) -> SystemSpec:
         if field not in doc:
             raise ValueError(f"{source}: missing required field {field!r}")
     dim = doc["dimension"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError(f"{source}: field 'dimension' must be a positive integer")
     energies = doc["energies"]
     if (
         not isinstance(energies, list)
         or len(energies) != dim
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in energies)
+        or not _NUMBER.issuperset(map(type, energies))
     ):
         raise ValueError(f"{source}: field 'energies' must be a list of {dim} numbers")
     h1_raw = doc["h1"]
@@ -151,7 +155,7 @@ def _spec_from_document(doc: object, source: str) -> SystemSpec:
                 entries.append(_require_pair(entry, f"{source}: h1[{i}][{j}]"))
     h1 = np.array(entries, dtype=np.complex128).reshape(dim, dim)
     scale = doc.get("coupling_scale", 1.0)
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+    if type(scale) not in _NUMBER:
         raise ValueError(f"{source}: field 'coupling_scale' must be a number")
     return SystemSpec(
         energies=np.array(energies, dtype=np.float64),
@@ -193,45 +197,44 @@ def _golden_block(doc: object, source: str) -> tuple[GoldenRuleInput, int]:
 
     def _numbers(name: str) -> NDArray[np.float64]:
         val = block[name]
-        if not isinstance(val, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
-        ):
+        if not isinstance(val, list) or not _NUMBER.issuperset(map(type, val)):
             raise ValueError(f"{source}: golden_rule.{name} must be a list of numbers")
         return np.array(val, dtype=np.float64)
 
     duration = block["duration"]
-    if isinstance(duration, bool) or not isinstance(duration, (int, float)):
+    if type(duration) not in _NUMBER:
         raise ValueError(f"{source}: golden_rule.duration must be a number")
     for name in ("initial", "final"):
         idx = block[name]
-        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
+        if type(idx) is not int or idx < 0:
             raise ValueError(f"{source}: golden_rule.{name} must be a non-negative integer")
     inp = GoldenRuleInput(
         energy_grid=_numbers("energy_grid"),
         density_of_states=_numbers("density"),
         coupling_profile=_numbers("coupling_sq"),
         duration=float(duration),
-        initial_level=int(block["initial"]),
+        initial_level=block["initial"],
     )
-    return inp, int(block["final"])
+    return inp, block["final"]
 
 
-def _load_system(cfg: RunConfig) -> SplitSystem:
+def _load_system(cfg: RunConfig) -> tuple[SplitSystem, object]:
+    """The redivided system of the input file, and the file's decoded document."""
     if cfg.input_path is None:
         raise ValueError(f"command {cfg.command!r} requires an input file")
-    spec = parse_spec_file(cfg.input_path)
-    return redivide(spec, tol_deg=cfg.tol_deg, enabled=cfg.redivision)
+    doc = _load_document(cfg.input_path)
+    spec = _spec_from_document(doc, str(cfg.input_path))
+    return redivide(spec, tol_deg=cfg.tol_deg, enabled=cfg.redivision), doc
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _header_lines(cfg: RunConfig, settings: dict[str, object]) -> list[str]:
-    lines = [f"# perturbseries {__version__}", f"# command: {cfg.command}"]
-    for key in sorted(settings):
-        lines.append(f"# {key}: {settings[key]}")
-    return lines
+def _check_levels(n: int, **levels: int) -> None:
+    for name, idx in levels.items():
+        if not 0 <= idx < n:
+            raise ValueError(f"{name} level {idx} outside 0..{n - 1}")
 
 
 def _write_report(path: str, lines: Iterable[str]) -> None:
@@ -266,37 +269,33 @@ def _grid_settings(cfg: RunConfig) -> dict[str, object]:
     }
 
 
-def _run_evolve(cfg: RunConfig) -> None:
-    sys_split = _load_system(cfg)
+# A runner returns its report as (settings, columns, rows).  A row holds
+# ints, quoted label strings and Python floats (from ``tolist``), so ``str``
+# writes every cell: for a Python float it is ``repr``, the shortest string
+# that reads back to the same bits.
+_Report = tuple[dict[str, object], Sequence[str], Iterable[Sequence[object]]]
+
+
+def _run_evolve(cfg: RunConfig) -> _Report:
+    sys_split, _ = _load_system(cfg)
     n = sys_split.dimension
-    if not 0 <= cfg.initial_level < n:
-        raise ValueError(f"initial level {cfg.initial_level} outside 0..{n - 1}")
+    _check_levels(n, initial=cfg.initial_level)
     ts = cfg.time_grid()
-    grid = _truncated_sum_grid(sys_split, cfg.order, ts)
-    amps = grid[:, :, cfg.initial_level]
+    amps = _truncated_sum_grid(sys_split, cfg.order, ts)[:, :, cfg.initial_level]
     settings = _common_settings(cfg) | _grid_settings(cfg)
     settings |= {
         "order": cfg.order,
         "initial-level": cfg.initial_level,
         "basis": "redivided working basis",
     }
-    header = ["t"]
-    for j in range(n):
-        header += [f"c{j}_re", f"c{j}_im"]
-    header.append("norm")
-    lines = _header_lines(cfg, settings)
-    lines.append(",".join(header))
-    for i, t in enumerate(ts):
-        cells = [_fmt(t)]
-        for j in range(n):
-            cells += [_fmt(amps[i, j].real), _fmt(amps[i, j].imag)]
-        cells.append(_fmt(float(np.linalg.norm(amps[i]))))
-        lines.append(",".join(cells))
-    _write_report(cfg.output_path, lines)
+    columns = ["t", *(f"c{j}_{part}" for j in range(n) for part in ("re", "im")), "norm"]
+    parts = np.stack([amps.real, amps.imag], axis=2).reshape(len(ts), 2 * n)
+    norms = [np.linalg.norm(amp) for amp in amps]
+    return settings, columns, np.column_stack([ts, parts, norms]).tolist()
 
 
-def _run_compare(cfg: RunConfig) -> None:
-    sys_split = _load_system(cfg)
+def _run_compare(cfg: RunConfig) -> _Report:
+    sys_split, _ = _load_system(cfg)
     solution = diagonalize(sys_split)
     ts = cfg.time_grid()
     usual = _truncated_sum_grid(sys_split, cfg.order, ts)
@@ -305,56 +304,38 @@ def _run_compare(cfg: RunConfig) -> None:
         "order": cfg.order,
         "g-orders": "per-equation" if cfg.g_orders is None else ",".join(map(str, cfg.g_orders)),
     }
-    lines = _header_lines(cfg, settings)
-    lines.append("t,err_usual,err_improved")
     improved = improved_amplitude(sys_split, range(cfg.order + 1), ts, cfg.g_orders)
-    for i, t in enumerate(ts):
-        exact = solution.propagator(float(t))
-        err_usual = float(np.max(np.abs(usual[i] - exact)))
-        err_improved = float(np.max(np.abs(improved[i] - exact)))
-        lines.append(",".join([_fmt(t), _fmt(err_usual), _fmt(err_improved)]))
-    _write_report(cfg.output_path, lines)
+    exact = np.array([solution.propagator(t) for t in ts.tolist()])
+    errors = [np.max(np.abs(approx - exact), axis=(1, 2)) for approx in (usual, improved)]
+    return settings, ("t", "err_usual", "err_improved"), np.column_stack([ts, *errors]).tolist()
 
 
-def _run_terms(cfg: RunConfig) -> None:
+def _run_terms(cfg: RunConfig) -> _Report:
     catalog = enumerate_catalog(cfg.order)
-    with_values = cfg.input_path is not None and cfg.order <= _EVAL_MAX
+    labels = [f'"{label.compact()}"' for label in catalog.labels]
     settings: dict[str, object] = {
         "order": cfg.order,
         "count": catalog.count,
     }
-    lines_tail: list[str] = []
-    if with_values:
-        sys_split = _load_system(cfg)
-        n = sys_split.dimension
-        for name, idx in (("initial", cfg.initial_level), ("final", cfg.final_level)):
-            if not 0 <= idx < n:
-                raise ValueError(f"{name} level {idx} outside 0..{n - 1}")
-        settings |= _common_settings(cfg)
-        settings |= {
-            "time": _fmt(cfg.time),
-            "from-level": cfg.initial_level,
-            "to-level": cfg.final_level,
-        }
-        lines_tail.append("index,label,value_re,value_im")
-        values = eval_closed_term(
-            sys_split, catalog.labels, cfg.time, cfg.final_level, cfg.initial_level
-        )
-        for i, (label, value) in enumerate(zip(catalog.labels, values)):
-            lines_tail.append(f'{i},"{label.compact()}",{_fmt(value.real)},{_fmt(value.imag)}')
-    else:
-        lines_tail.append("index,label")
-        for i, label in enumerate(catalog.labels):
-            lines_tail.append(f'{i},"{label.compact()}"')
-    _write_report(cfg.output_path, _header_lines(cfg, settings) + lines_tail)
+    if cfg.input_path is None or cfg.order > _EVAL_MAX:
+        return settings, ("index", "label"), enumerate(labels)
+    sys_split, _ = _load_system(cfg)
+    _check_levels(sys_split.dimension, initial=cfg.initial_level, final=cfg.final_level)
+    settings |= _common_settings(cfg)
+    settings |= {
+        "time": _fmt(cfg.time),
+        "from-level": cfg.initial_level,
+        "to-level": cfg.final_level,
+    }
+    values = eval_closed_term(
+        sys_split, catalog.labels, cfg.time, cfg.final_level, cfg.initial_level
+    )
+    rows = zip(range(catalog.count), labels, values.real.tolist(), values.imag.tolist())
+    return settings, ("index", "label", "value_re", "value_im"), rows
 
 
-def _run_golden_rule(cfg: RunConfig) -> None:
-    if cfg.input_path is None:
-        raise ValueError("command 'golden-rule' requires an input file")
-    doc = _load_document(cfg.input_path)
-    spec = _spec_from_document(doc, str(cfg.input_path))
-    sys_split = redivide(spec, tol_deg=cfg.tol_deg, enabled=cfg.redivision)
+def _run_golden_rule(cfg: RunConfig) -> _Report:
+    sys_split, doc = _load_system(cfg)
     inp, final_level = _golden_block(doc, str(cfg.input_path))
     result = golden_rule(inp, sys_split, final_level=final_level)
     settings = _common_settings(cfg) | {
@@ -363,15 +344,11 @@ def _run_golden_rule(cfg: RunConfig) -> None:
         "final-level": final_level,
         "grid-points": int(inp.energy_grid.shape[0]),
     }
-    lines = _header_lines(cfg, settings)
-    lines.append("w_fermi,delta_w,w")
-    lines.append(
-        ",".join([_fmt(result["w_fermi"]), _fmt(result["delta_w"]), _fmt(result["w"])])
-    )
-    _write_report(cfg.output_path, lines)
+    columns = ("w_fermi", "delta_w", "w")
+    return settings, columns, [[result[name] for name in columns]]
 
 
-def _run_two_state(cfg: RunConfig) -> None:
+def _run_two_state(cfg: RunConfig) -> _Report:
     spec = SystemSpec(
         energies=np.array([cfg.e1, cfg.e2], dtype=np.float64),
         h1=np.array([[0.0, cfg.v], [cfg.v, 0.0]], dtype=np.complex128),
@@ -386,27 +363,18 @@ def _run_two_state(cfg: RunConfig) -> None:
         "tol-deg": _fmt(cfg.tol_deg),
         "basis": "redivided working basis",
     }
-    lines = _header_lines(cfg, settings)
-    lines.append("t,p_usual,p_improved,p_exact,e_tilde_1,e_tilde_2")
     probabilities = improved_transition_probability(sys_split, 0, 1, ts, shifted)
     # after the improved columns, which refuse an uncoupled tie in their own words
     if cfg.e1 == cfg.e2:
         raise ValueError(f"requires e1 != e2, got e1={cfg.e1}, e2={cfg.e2}")
     exact = exact_transition_probability(diagonalize(sys_split), 0, 1, ts)
-    for t, probs, p_exact in zip(ts, probabilities, exact):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(t),
-                    _fmt(probs["p_usual"]),
-                    _fmt(probs["p_improved"]),
-                    _fmt(p_exact),
-                    _fmt(shifted[0]),
-                    _fmt(shifted[1]),
-                ]
-            )
-        )
-    _write_report(cfg.output_path, lines)
+    e_tilde = shifted.tolist()
+    rows = [
+        (t, probs["p_usual"], probs["p_improved"], p_exact, *e_tilde)
+        for t, probs, p_exact in zip(ts.tolist(), probabilities, exact.tolist())
+    ]
+    columns = ("t", "p_usual", "p_improved", "p_exact", "e_tilde_1", "e_tilde_2")
+    return settings, columns, rows
 
 
 def _eigenvalues_by_level(solution: ExactSolution) -> NDArray[np.float64]:
@@ -430,8 +398,8 @@ def _eigenvalues_by_level(solution: ExactSolution) -> NDArray[np.float64]:
     return paired
 
 
-def _run_energies(cfg: RunConfig) -> None:
-    sys_split = _load_system(cfg)
+def _run_energies(cfg: RunConfig) -> _Report:
+    sys_split, _ = _load_system(cfg)
     orders = (2, 3, 4) if cfg.g_orders is None else cfg.g_orders
     if orders:
         shifted = revision_energies(sys_split, max(orders)).e_tilde(orders)
@@ -441,23 +409,12 @@ def _run_energies(cfg: RunConfig) -> None:
     settings = _common_settings(cfg) | {
         "g-orders": ",".join(map(str, orders)) if orders else "none",
     }
-    lines = _header_lines(cfg, settings)
-    lines.append("level,e_original,e_redivided,e_tilde,e_exact,abs_error")
-    for level in range(sys_split.dimension):
-        paired = float(exact[level])
-        lines.append(
-            ",".join(
-                [
-                    str(level),
-                    _fmt(sys_split.energies_original[level]),
-                    _fmt(sys_split.energies_redivided[level]),
-                    _fmt(shifted[level]),
-                    _fmt(paired),
-                    _fmt(abs(float(shifted[level]) - paired)),
-                ]
-            )
-        )
-    _write_report(cfg.output_path, lines)
+    error = np.abs(shifted - exact)
+    table = np.column_stack(
+        [sys_split.energies_original, sys_split.energies_redivided, shifted, exact, error]
+    )
+    columns = ("level", "e_original", "e_redivided", "e_tilde", "e_exact", "abs_error")
+    return settings, columns, [(level, *row) for level, row in enumerate(table.tolist())]
 
 
 _RUNNERS = {
@@ -477,7 +434,12 @@ def run(config: RunConfig) -> int:
         raise ValueError(f"unknown command {config.command!r}")
     if config.output_path is None:
         raise ValueError(f"command {config.command!r} requires an output path")
-    runner(config)
+    settings, columns, rows = runner(config)
+    lines = [f"# perturbseries {__version__}", f"# command: {config.command}"]
+    lines += [f"# {key}: {settings[key]}" for key in sorted(settings)]
+    lines.append(",".join(columns))
+    lines += [",".join(map(str, row)) for row in rows]
+    _write_report(config.output_path, lines)
     return 0
 
 
@@ -497,7 +459,8 @@ def _parse_g_orders(text: str | None) -> tuple[int, ...] | None:
             orders = tuple(int(part) for part in s.split(","))
     except ValueError as exc:
         raise click.ClickException(
-            f"--g-orders must be 'none', a comma list like '2,3,4', or a range like '2..5'; got {text!r}"
+            "--g-orders must be 'none', a comma list like '2,3,4', or a range like '2..5'; "
+            f"got {text!r}"
         ) from exc
     if len(set(orders)) != len(orders) or any(not 2 <= a <= 5 for a in orders):
         raise click.ClickException("--g-orders entries must be distinct integers in 2..5")

@@ -179,16 +179,21 @@ def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     )
 
 
-def _resolve_g_orders(order: int, g_orders: Sequence[int] | None) -> tuple[int, ...]:
-    if g_orders is None:
-        return _LITERAL_G_ORDERS[order]
-    chosen = tuple(int(a) for a in g_orders)
+def _check_g_orders(g_orders: Sequence[int]) -> tuple[int, ...]:
+    """The revision orders as distinct ints in 2..5; anything else raises."""
+    chosen = tuple(g_orders)
     for a in chosen:
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+            raise TypeError(f"revision orders must be integers, got {a!r}")
         if not 2 <= a <= 5:
             raise ValueError("revision orders must lie in 2..5")
     if len(set(chosen)) != len(chosen):
         raise ValueError("revision orders must not repeat")
-    return chosen
+    return tuple(int(a) for a in chosen)
+
+
+def _resolve_g_orders(order: int, g_orders: Sequence[int] | None) -> tuple[int, ...]:
+    return _LITERAL_G_ORDERS[order] if g_orders is None else _check_g_orders(g_orders)
 
 
 def _reduced_resolvents(e: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -570,7 +575,7 @@ def improved_perturbed_energy(
     would produce are already inside the shift.
     """
     beta = _check_level(sys, level, "level")
-    chosen = tuple(int(a) for a in g_orders)
+    chosen = _check_g_orders(g_orders)
     if chosen:
         e0 = float(revision_energies(sys, max(chosen)).e_tilde(chosen)[beta])
     else:

@@ -67,27 +67,21 @@ def _amplitude_blocks(sys: SplitSystem, L: int, ts: NDArray[np.float64]) -> NDAr
     return _dd_value(energies, g, L, np.asarray(ts, dtype=np.float64))
 
 
-def _check_order(l: int, l_max: int) -> None:
+def _check_order(l: int) -> None:
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
         raise ValueError(f"order must be an integer, got {l!r}")
-    if l < 0 or l > l_max:
-        raise ValueError(f"order {l} outside supported range 0..{l_max}")
+    if l < 0 or l > DEFAULT_L_MAX:
+        raise ValueError(f"order {l} outside supported range 0..{DEFAULT_L_MAX}")
 
 
-def amplitude_order(
-    sys: SplitSystem,
-    l: int,
-    t: float,
-    *,
-    l_max: int = DEFAULT_L_MAX,
-) -> AmplitudeMatrix:
+def amplitude_order(sys: SplitSystem, l: int, t: float) -> AmplitudeMatrix:
     """Order-l amplitude matrix of the evolution expansion at time t.
 
     Entry (a, b) sums, over all index paths a = p_1, ..., p_{l+1} = b, the
     divided difference of e^{-i*x*t} over the path energies times the
     product of coupling elements along the path.
     """
-    _check_order(l, l_max)
+    _check_order(l)
     values = _amplitude_blocks(sys, l, np.array([float(t)]))[l, 0]
     return AmplitudeMatrix(order=l, t=float(t), values=values)
 

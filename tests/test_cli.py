@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -502,6 +504,38 @@ def test_golden_rule_command_missing_block(tmp_path, runner):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("energy_grid", [-5.0, True, 5.0], "golden_rule.energy_grid must be a list of numbers"),
+        ("energy_grid", [-5.0, "0", 5.0], "golden_rule.energy_grid must be a list of numbers"),
+        ("density", [0.7, False, 0.7], "golden_rule.density must be a list of numbers"),
+        ("density", ["0.7", 0.7, 0.7], "golden_rule.density must be a list of numbers"),
+        ("coupling_sq", [0.1, True, 0.1], "golden_rule.coupling_sq must be a list of numbers"),
+        ("coupling_sq", [0.1, "x", 0.1], "golden_rule.coupling_sq must be a list of numbers"),
+        ("coupling_sq", 0.1, "golden_rule.coupling_sq must be a list of numbers"),
+        ("duration", True, "golden_rule.duration must be a number"),
+        ("initial", -1, "golden_rule.initial must be a non-negative integer"),
+        ("final", 1.5, "golden_rule.final must be a non-negative integer"),
+        (None, [1, 2], "'golden_rule' must be a JSON object"),
+    ],
+)
+def test_golden_rule_block_refuses_a_bad_field(tmp_path, runner, field, value, message):
+    # JSON numbers are ints and floats; booleans and strings are refused
+    doc = golden_rule_document()
+    if field is None:
+        doc["golden_rule"] = value
+    else:
+        doc["golden_rule"][field] = value
+    inp = tmp_path / "rate.json"
+    inp.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "rate.csv"
+    result = runner.invoke(main, ["golden-rule", "--input", str(inp), "--output", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"{inp}: {message}" in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["rate.json"]
+
+
 def test_energies_report(tmp_path, runner):
     inp = write_two_state_file(tmp_path / "sys.json")
     out = tmp_path / "energies.csv"
@@ -558,6 +592,146 @@ def test_energies_refuses_ambiguous_pairing(tmp_path, runner):
     assert "cannot pair levels" in result.output
     assert "levels [0]" in result.output
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# report layout: the header block and the column line, as literal text
+
+
+_LAYOUT_CASES = {
+    "evolve": (
+        ["--input", "sys.json", "--order", "2", "--initial", "1", "--t-end", "2",
+         "--t-steps", "3"],
+        """\
+# basis: redivided working basis
+# initial-level: 1
+# input: sys.json
+# order: 2
+# redivision: on
+# t-end: 2.0
+# t-start: 0.0
+# t-steps: 3
+# tol-deg: 1e-10
+t,c0_re,c0_im,c1_re,c1_im,c2_re,c2_im,norm""",
+    ),
+    "compare": (
+        ["--input", "sys.json", "--order", "2", "--g-orders", "2,3", "--t-start", "1",
+         "--t-end", "2", "--t-steps", "3"],
+        """\
+# g-orders: 2,3
+# input: sys.json
+# order: 2
+# redivision: on
+# t-end: 2.0
+# t-start: 1.0
+# t-steps: 3
+# tol-deg: 1e-10
+t,err_usual,err_improved""",
+    ),
+    "terms": (
+        ["--input", "sys.json", "--order", "3", "--time", "1.5", "--from-level", "0",
+         "--to-level", "2"],
+        """\
+# count: 5
+# from-level: 0
+# input: sys.json
+# order: 3
+# redivision: on
+# time: 1.5
+# to-level: 2
+# tol-deg: 1e-10
+index,label,value_re,value_im""",
+    ),
+    "golden-rule": (
+        ["--input", "sys.json", "--no-redivision"],
+        """\
+# duration: 50.0
+# final-level: 1
+# grid-points: 801
+# initial-level: 0
+# input: sys.json
+# redivision: off
+# tol-deg: 1e-10
+w_fermi,delta_w,w""",
+    ),
+    "two-state": (
+        ["--e1", "-0.25", "--e2", "0.75", "--v", "0.05", "--t-end", "4", "--t-steps", "3"],
+        """\
+# basis: redivided working basis
+# e1: -0.25
+# e2: 0.75
+# t-end: 4.0
+# t-start: 0.0
+# t-steps: 3
+# tol-deg: 1e-10
+# v: 0.05
+t,p_usual,p_improved,p_exact,e_tilde_1,e_tilde_2""",
+    ),
+    "energies": (
+        ["--input", "sys.json", "--g-orders", "2..5", "--tol-deg", "1e-6"],
+        """\
+# g-orders: 2,3,4,5
+# input: sys.json
+# redivision: on
+# tol-deg: 1e-06
+level,e_original,e_redivided,e_tilde,e_exact,abs_error""",
+    ),
+}
+
+
+def _check_cells(rows, columns):
+    assert rows
+    for row in rows:
+        assert len(row) == len(columns)
+        for name, cell in zip(columns, row):
+            if name in ("index", "level"):
+                assert cell == str(int(cell))
+            elif name == "label":
+                assert re.fullmatch("[cn,]+", cell)
+            else:
+                assert cell == repr(float(cell))
+
+
+@pytest.mark.parametrize("command", sorted(_LAYOUT_CASES))
+def test_report_layout_is_pinned(tmp_path, runner, monkeypatch, command):
+    # the input path is relative, so the header block is the same text on any machine
+    monkeypatch.chdir(tmp_path)
+    Path("sys.json").write_text(json.dumps(golden_rule_document()), encoding="utf-8")
+    argv, expected = _LAYOUT_CASES[command]
+    result = runner.invoke(main, [command, *argv, "--output", "out.csv"])
+    assert result.exit_code == 0, result.output
+    text = Path("out.csv").read_text(encoding="utf-8")
+    head = [f"# perturbseries {perturbseries.__version__}", f"# command: {command}"]
+    head += expected.splitlines()
+    lines = text.splitlines()
+    assert lines[: len(head)] == head
+    assert text.endswith("\n")
+    # a term label holds commas, so its cell is quoted
+    _check_cells(list(csv.reader(lines[len(head) :])), head[-1].split(","))
+
+
+def test_programmatic_run_writes_float_settings_as_floats(tmp_path):
+    # RunConfig takes ints for its float fields; the header still reads 0.0
+    out = tmp_path / "pair.csv"
+    config = RunConfig(
+        command="two-state", output_path=str(out), e1=0, e2=1, t_start=0, t_end=2, t_steps=3
+    )
+    assert run(config) == 0
+    comments, columns, rows = read_report(out)
+    assert comments == [
+        f"# perturbseries {perturbseries.__version__}",
+        "# command: two-state",
+        "# basis: redivided working basis",
+        "# e1: 0.0",
+        "# e2: 1.0",
+        "# t-end: 2.0",
+        "# t-start: 0.0",
+        "# t-steps: 3",
+        "# tol-deg: 1e-10",
+        "# v: 0.1",
+    ]
+    _check_cells(rows, columns)
+    assert [row[0] for row in rows] == ["0.0", "1.0", "2.0"]
 
 
 # ---------------------------------------------------------------------------

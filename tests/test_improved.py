@@ -774,6 +774,37 @@ def test_perturbed_energy_order_selection(rng):
     assert bare["e_total"] == float(sys.energies_redivided[1])
 
 
+_WITH_G_ORDERS = {
+    "amplitude": lambda sys, g_orders: improved_amplitude(sys, 1, 1.0, g_orders=g_orders).values,
+    "energy": lambda sys, g_orders: improved_perturbed_energy(sys, 0, g_orders=g_orders),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_WITH_G_ORDERS))
+@pytest.mark.parametrize(
+    "g_orders,error,message",
+    [
+        ((2.5,), TypeError, "revision orders must be integers, got 2.5"),
+        (("2",), TypeError, "revision orders must be integers, got '2'"),
+        ((True,), TypeError, "revision orders must be integers, got True"),
+        ((1,), ValueError, "revision orders must lie in 2..5"),
+        ((6,), ValueError, "revision orders must lie in 2..5"),
+        ((2, 2), ValueError, "revision orders must not repeat"),
+    ],
+)
+def test_revision_orders_are_integers_in_range(rng, function, g_orders, error, message):
+    # a fractional or text order was once truncated to an int and run
+    with pytest.raises(error, match=message):
+        _WITH_G_ORDERS[function](random_system(rng, 3), g_orders)
+
+
+@pytest.mark.parametrize("function", sorted(_WITH_G_ORDERS))
+def test_revision_orders_accept_numpy_integers(rng, function):
+    sys = random_system(rng, 3)
+    call = _WITH_G_ORDERS[function]
+    np.testing.assert_array_equal(call(sys, (np.int64(3),)), call(sys, (3,)))
+
+
 def test_perturbed_energy_error_scales_as_fifth_power(rng):
     # With revisions through fourth order the residual against the exact
     # eigenvalue must fall off like the fifth power of the coupling scale.

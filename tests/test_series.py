@@ -236,11 +236,11 @@ def test_order_validation(rng):
         amplitude_order(sys, True, 1.0)
 
 
-def test_order_cap_is_adjustable(rng):
+def test_amplitude_blocks_reach_past_the_order_cap(rng):
     sys = random_system(rng, 2)
     with pytest.raises(ValueError):
         amplitude_order(sys, 7, 1.0)
-    got = amplitude_order(sys, 7, 1.0, l_max=7).values
+    got = _amplitude_blocks(sys, 7, np.array([1.0]))[7, 0]
     np.testing.assert_allclose(got, corner_block_oracle(sys, 7, 1.0), rtol=1e-11, atol=1e-14)
 
 
