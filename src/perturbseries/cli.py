@@ -41,6 +41,7 @@ import json
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import click
@@ -310,9 +311,15 @@ def _run_compare(cfg: RunConfig) -> _Report:
     return settings, ("t", "err_usual", "err_improved"), np.column_stack([ts, *errors]).tolist()
 
 
+@lru_cache(maxsize=None)
+def _quoted_labels(order: int) -> tuple[str, ...]:
+    """The order's catalog labels as report cells, formatted once per order."""
+    return tuple(f'"{text}"' for text in enumerate_catalog(order).compact_strings())
+
+
 def _run_terms(cfg: RunConfig) -> _Report:
     catalog = enumerate_catalog(cfg.order)
-    labels = [f'"{label.compact()}"' for label in catalog.labels]
+    labels = _quoted_labels(cfg.order)
     settings: dict[str, object] = {
         "order": cfg.order,
         "count": catalog.count,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -124,7 +124,7 @@ class TermLabel:
 
     def compact(self) -> str:
         """Printed form: all-``k`` rows dropped, groups comma-joined."""
-        return ",".join(gr for gr in self.groups if set(gr) != {"k"})
+        return ",".join(gr for gr in self.groups if gr.strip("k"))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.compact()
@@ -151,7 +151,12 @@ class TermCatalog:
         return len(self.labels)
 
     def compact_strings(self) -> list[str]:
-        return [label.compact() for label in self.labels]
+        return list(self._compact)
+
+    @cached_property
+    def _compact(self) -> tuple[str, ...]:
+        # formatted once: enumerate_catalog returns one catalog per order
+        return tuple(label.compact() for label in self.labels)
 
 
 def _equality_patterns(size: int) -> list[tuple[int, ...]]:
@@ -222,6 +227,7 @@ def _load_fixture(l: int) -> tuple[TermLabel, ...]:
     return tuple(labels)
 
 
+@lru_cache(maxsize=None)
 def enumerate_catalog(l: int) -> TermCatalog:
     """All decomposition term labels of order l (2 <= l <= 6).
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from perturbseries.improved import simpson
 from perturbseries.model import SplitSystem, SystemSpec, redivide
 
 
@@ -85,3 +86,20 @@ def planted_system(energies, g) -> SplitSystem:
         basis_rotation=np.eye(e.shape[0]),
         energies_original=e,
     )
+
+
+def sample_grid(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Increasing abscissae with ``uniform``, ``cumulative`` (random steps) or
+    ``sorted`` (sorted random points; duplicates dropped) spacing."""
+    if kind == "uniform":
+        return np.linspace(-rng.uniform(0.0, 5.0), rng.uniform(0.1, 5.0), n)
+    if kind == "cumulative":
+        return np.cumsum(rng.uniform(0.01, 1.0, n))
+    return np.unique(rng.uniform(-1.0, 1.0, n))
+
+
+def assert_simpson_matches_scipy(y: np.ndarray, x: np.ndarray) -> None:
+    """`improved.simpson` returns the bits of `scipy.integrate.simpson`."""
+    from scipy.integrate import simpson as scipy_simpson
+
+    assert np.float64(simpson(y, x=x)).tobytes() == np.float64(scipy_simpson(y, x=x)).tobytes()

@@ -884,14 +884,49 @@ def test_run_config_time_grid_validation():
         RunConfig(command="evolve", t_steps=0).time_grid()
 
 
-def test_cli_import_loads_no_scipy():
-    code = (
-        "import sys, perturbseries.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+# Runs each command once through cli.main and prints every module it loaded.
+_RUN_EVERY_COMMAND = """
+import json, sys
+before = set(sys.modules)
+from perturbseries.cli import main
+for argv in json.loads(sys.argv[1]):
+    main(argv, standalone_mode=False)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.fixture(scope="module")
+def modules_loaded_by_every_command(tmp_path_factory):
+    """Modules a fresh interpreter loads to run every command on the layout fixtures."""
+    work = tmp_path_factory.mktemp("every-command")
+    (work / "sys.json").write_text(json.dumps(golden_rule_document()), encoding="utf-8")
+    argvs = [[cmd, *args, "--output", f"{cmd}.csv"] for cmd, (args, _) in _LAYOUT_CASES.items()]
     src = str(Path(perturbseries.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", _RUN_EVERY_COMMAND, json.dumps(argvs)],
+        cwd=work, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert sorted(p.name for p in work.glob("*.csv")) == sorted(f"{cmd}.csv" for cmd in _LAYOUT_CASES)
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_no_scipy(modules_loaded_by_every_command):
+    # neither importing the CLI nor running any of its commands
+    assert [m for m in modules_loaded_by_every_command if m.split(".")[0] == "scipy"] == []
+
+
+def _requirement_names(specs):
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in specs}
+
+
+def test_runtime_dependencies_are_the_modules_the_commands_load(modules_loaded_by_every_command):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    runtime = _requirement_names(project["dependencies"])
+    third_party = {m.split(".")[0] for m in modules_loaded_by_every_command} - set(sys.stdlib_module_names)
+    assert third_party <= {"numpy", "click", "perturbseries"}
+    assert third_party - {"perturbseries"} <= runtime
+    assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
+    assert "scipy" not in runtime
