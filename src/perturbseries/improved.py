@@ -8,8 +8,8 @@ amplitudes are rewritten with the shifted energies in every exponent while
 keeping the original energy denominators.  This module computes the
 revision hierarchy through fifth order, evaluates the rewritten amplitudes
 of orders zero through three from residue weights of the resolvent
-expansion (built once per system and order, then one matrix product per
-time), and exposes the derived quantities that make
+expansion (built once per system from one residue table, then one matrix
+product per time), and exposes the derived quantities that make
 the scheme useful: an improved two-level transition probability, a revised
 golden-rule transition rate for a tabulated continuum, and stationary
 perturbed energies/states.
@@ -244,15 +244,13 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _residue_factors(
-    e: NDArray[np.float64], g: NDArray[np.complex128], order: int, power: int = 0
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Rank-one factors of one Laurent coefficient of an amplitude order.
+class _ResidueTable:
+    """Rank-one factors of the Laurent coefficients of the resolvent products.
 
-    The factors hold the u^-(power+1) Laurent coefficient at z = E'_k of
-    R (g R)^order, with R = diag(1/(z - E')) and u = z - E'_k; divided by
-    power!, it is the weight of (-i t)^power exp(-i E'_k t) in the
-    order-``order`` amplitude (power 0 gives the residue).  Near E'_k,
+    ``factors(order, power)`` holds the u^-(power+1) Laurent coefficient at
+    z = E'_k of R (g R)^order, with R = diag(1/(z - E')) and u = z - E'_k;
+    divided by power!, it is the weight of (-i t)^power exp(-i E'_k t) in
+    the order-``order`` amplitude (power 0 gives the residue).  Near E'_k,
     R = P_k / u + sum_{p>=1} (-u)^(p-1) Q_k^p, where P_k projects on level
     k and Q_k = diag(1/(E'_k - E'_j)), zero wherever E'_j = E'_k (Kato's
     reduced-resolvent expansion).  The coefficient sums the products of
@@ -261,53 +259,89 @@ def _residue_factors(
     ``order - power`` into ``order + 1`` slots, where p_i = 0 selects P_k.
 
     Every such product is rank one in each k: the slots before the first
-    P_k give a column C[:, k] and the slots after the last give a row
-    R[k, :].  Between consecutive poles the pole of a tie group projects
-    on every level of the group, so each closed loop is a matrix over the
-    tied levels, applied to the row; for distinct levels it is diagonal.
-    Products sharing a column are summed.  Returns the columns and rows
-    stacked, (n, K*n) and (K*n, n), so that the coefficient matrix for
-    phases phi is (C * tile(phi, K)) @ R.
+    P_k give a column C[:, k] and the slots from the first P_k on give a
+    row R[k, :].  Between consecutive poles the pole of a tie group
+    projects on every level of the group, so each closed loop is a vector
+    over the tied pairs: its diagonal and the pairs of distinct, exactly
+    tied levels.  Columns, rows, loops and pole suffixes are memoized by
+    their slot powers, so one table formed for several orders or powers
+    forms each matrix product once.
     """
-    q = _reduced_resolvents(e)
-    ties = e[:, np.newaxis] == e[np.newaxis, :]
-    # Slot factor of power p for level k, indexed [k, j].
-    slot = {p: (-1.0) ** (p - 1) * q**p for p in range(1, order + 1)}
-    eye = np.eye(e.shape[0], dtype=np.complex128)
-    columns: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
-    rows: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
-    loops: dict[tuple[int, ...], NDArray[np.complex128]] = {}
 
-    def column(powers: tuple[int, ...]) -> NDArray[np.complex128]:
+    def __init__(self, e: NDArray[np.float64], g: NDArray[np.complex128]) -> None:
+        self._g = g
+        self._q = _reduced_resolvents(e)
+        n = e.shape[0]
+        self._tied = np.nonzero((e[:, np.newaxis] == e[np.newaxis, :]) & ~np.eye(n, dtype=bool))
+        self._slots: dict[int, NDArray[np.float64]] = {}
+        eye = np.eye(n, dtype=np.complex128)
+        self._columns: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
+        self._rows: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
+        self._loops: dict[tuple[int, ...], tuple[NDArray[np.complex128], ...]] = {}
+        self._suffixes: dict[tuple[int, ...], NDArray[np.complex128]] = {}
+
+    def _slot(self, p: int) -> NDArray[np.float64]:
+        # Slot factor of power p for level k, indexed [k, j].
+        if p not in self._slots:
+            self._slots[p] = (-1.0) ** (p - 1) * self._q**p
+        return self._slots[p]
+
+    def _column(self, powers: tuple[int, ...]) -> NDArray[np.complex128]:
         # (D_p0 g D_p1 g ... D_pm g)[:, k] for every k at once.
-        if powers not in columns:
-            columns[powers] = slot[powers[0]].T * (g @ column(powers[1:]))
-        return columns[powers]
+        if powers not in self._columns:
+            rest = powers[1:]
+            right = self._g @ self._column(rest) if rest else self._g
+            self._columns[powers] = self._slot(powers[0]).T * right
+        return self._columns[powers]
 
-    def row(powers: tuple[int, ...]) -> NDArray[np.complex128]:
+    def _row(self, powers: tuple[int, ...]) -> NDArray[np.complex128]:
         # (g D_p0 g D_p1 ... g D_pm)[k, :] for every k at once.
-        if powers not in rows:
-            rows[powers] = (row(powers[:-1]) @ g) * slot[powers[-1]]
-        return rows[powers]
+        if powers not in self._rows:
+            head = powers[:-1]
+            left = self._row(head) @ self._g if head else self._g
+            self._rows[powers] = left * self._slot(powers[-1])
+        return self._rows[powers]
 
-    def loop(powers: tuple[int, ...]) -> NDArray[np.complex128]:
-        # (g D_p0 ... g D_pm g)[k, k'] for tied k, k'; zero elsewhere.
-        if powers not in loops:
-            loops[powers] = (row(powers) @ g) * ties
-        return loops[powers]
+    def _loop(self, powers: tuple[int, ...]) -> tuple[NDArray[np.complex128], ...]:
+        # (g D_p0 ... g D_pm g)[k, k'] for tied k, k': the diagonal, then the tied pairs.
+        if powers not in self._loops:
+            row, (a, b) = self._row(powers), self._tied
+            self._loops[powers] = (
+                np.einsum("kj,jk->k", row, self._g),
+                np.einsum("pj,jp->p", row[a], self._g[:, b]),
+            )
+        return self._loops[powers]
 
-    summed: dict[tuple[int, ...], NDArray[np.complex128]] = {}
-    for powers in _compositions(order - power, order + 1):
-        poles = [i for i, p in enumerate(powers) if p == 0]
-        right = row(powers[poles[-1] + 1 :])
-        for a, b in reversed(list(zip(poles, poles[1:]))):
-            right = loop(powers[a + 1 : b]) @ right
-        left = powers[: poles[0]]
-        summed[left] = summed[left] + right if left in summed else right
-    return (
-        np.hstack([column(left) for left in summed]),
-        np.vstack(list(summed.values())),
-    )
+    def _suffix(self, powers: tuple[int, ...]) -> NDArray[np.complex128]:
+        # The row of the slots from a pole (powers[0] == 0) on, every loop applied.
+        if powers not in self._suffixes:
+            rest = powers[1:]
+            if 0 not in rest:
+                self._suffixes[powers] = self._row(rest)
+            else:
+                pole = rest.index(0)
+                diagonal, pairs = self._loop(rest[:pole])
+                right = self._suffix(rest[pole:])
+                a, b = self._tied
+                out = diagonal[:, np.newaxis] * right
+                np.add.at(out, a, pairs[:, np.newaxis] * right[b])
+                self._suffixes[powers] = out
+        return self._suffixes[powers]
+
+    def factors(
+        self, order: int, power: int = 0
+    ) -> tuple[list[NDArray[np.complex128]], list[NDArray[np.complex128]]]:
+        """Columns C_K and rows R_K, summed over the products that share a column.
+
+        The coefficient matrix for phases phi is sum_K (C_K * phi) @ R_K,
+        one product once the blocks are stacked.
+        """
+        summed: dict[tuple[int, ...], NDArray[np.complex128]] = {}
+        for powers in _compositions(order - power, order + 1):
+            pole = powers.index(0)
+            left, right = powers[:pole], self._suffix(powers[pole:])
+            summed[left] = summed[left] + right if left in summed else right
+        return [self._column(left) for left in summed], list(summed.values())
 
 
 def _improved_sum_grid(
@@ -319,8 +353,8 @@ def _improved_sum_grid(
     """Sum of the improved amplitudes of the given orders, shape (T, n, n).
 
     The revisions are computed once, at the deepest order any amplitude
-    order absorbs, and the residue weights once per order; each time then
-    costs one matrix product.
+    order absorbs, and the residue weights of every order from one residue
+    table; each time then costs one matrix product.
     """
     chosen = [_resolve_g_orders(l, g_orders) for l in orders]
     e = sys.energies_redivided
@@ -328,13 +362,15 @@ def _improved_sum_grid(
     revisions = revision_energies(sys, deepest) if deepest else None
     # Phases and revisions are per level, so no tie may sit on an amplitude's chain.
     _refuse_coupled_ties(e, sys.g, max(orders), diagonal=max(orders) >= 2)
+    table = _ResidueTable(e, sys.g)
     columns, rows, shifted = [], [], []
     for l, c in zip(orders, chosen):
-        col, row = _residue_factors(e, sys.g, l)
-        columns.append(col)
-        rows.append(row)
-        shifted.append(np.tile(revisions.e_tilde(c) if c else e, col.shape[1] // e.shape[0]))
-    columns_all, rows_all, energies_all = np.hstack(columns), np.vstack(rows), np.concatenate(shifted)
+        col, row = table.factors(l)
+        columns += col
+        rows += row
+        shifted += [revisions.e_tilde(c) if c else e] * len(col)
+    columns_all, rows_all = np.concatenate(columns, axis=1), np.concatenate(rows)
+    energies_all = np.concatenate(shifted)
     out = np.empty((len(ts), e.shape[0], e.shape[0]), dtype=np.complex128)
     for i, t in enumerate(ts):
         out[i] = (columns_all * np.exp(-1j * energies_all * float(t))) @ rows_all
@@ -353,7 +389,7 @@ def improved_amplitude(
     The rewritten forms replace every oscillatory exponent by the shifted
     energies while the algebraic denominators keep the plain redivided
     energies: the weight of each shifted phase is a residue of the
-    order-``order`` resolvent product (see ``_residue_factors``).  By
+    order-``order`` resolvent product (see ``_ResidueTable``).  By
     default each amplitude order absorbs the revision orders it can
     support: order 0 uses revisions 2-5, order 1 uses 2-4, order 2 uses
     2-3 and order 3 uses only 2.  Pass ``g_orders`` to override (an empty
@@ -543,12 +579,22 @@ def golden_rule(
 
     The grid, recentred on the initial level, must extend past
     ``200/duration`` on both sides so the neglected tails of the
-    underlying sinc-squared kernel are below 1e-4 of its peak.
+    underlying sinc-squared kernel are below 1e-4 of its peak.  Recentring
+    can round neighbouring grid energies onto one detuning; such a grid is
+    refused, naming the first pair.
     """
     beta = _check_level(sys, inp.initial_level, "initial_level")
     e_beta = float(sys.energies_redivided[beta])
     tt = inp.duration
     omega = inp.energy_grid - e_beta
+    collapsed = np.flatnonzero(np.diff(omega) <= 0.0)
+    if collapsed.size:
+        i = int(collapsed[0])
+        raise ValueError(
+            f"energy grid points {i} and {i + 1} ({inp.energy_grid[i]:.17g} and "
+            f"{inp.energy_grid[i + 1]:.17g}) round to one detuning {omega[i]:.17g} from the "
+            f"resonance energy {e_beta:.17g}; the quadrature needs strictly increasing detunings"
+        )
     needed = _WINDOW_FACTOR / tt
     if omega[0] > -needed or omega[-1] < needed:
         raise ValueError(

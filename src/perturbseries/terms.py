@@ -35,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ddkernel import _dd_value
-from .improved import _residue_factors
+from .improved import _ResidueTable
 from .model import SplitSystem, _refuse_coupled_ties
 
 __all__ = [
@@ -323,7 +323,7 @@ def split_t_power_parts(
 
     The part of power p holds, for each pole E'_k, the u^-(p+1) Laurent
     coefficient of the resolvent product divided by p! (see
-    ``improved._residue_factors``); exactly tied levels share one pole.
+    ``improved._ResidueTable``); exactly tied levels share one pole.
     These coefficients grow like gap^-(l-p) as two coupled levels close
     in, and cancel in the total: near-confluent coupled levels give large
     parts with a small sum, and the round-off of every part scales with
@@ -341,11 +341,13 @@ def split_t_power_parts(
             energies, g, 1, diagonal=True, why=f"; the order-{l} split would need t-powers above 2"
         )
     diagonal = np.eye(sys.dimension, dtype=bool)
+    table = _ResidueTable(energies, g)
     out: dict[tuple[str, str], NDArray[np.complex128]] = {}
     for power, name in enumerate(("e", "te", "t2e")):
-        columns, rows = _residue_factors(energies, g, l, power)
+        columns, rows = table.factors(l, power)
         phases = np.exp(-1j * energies * t) * (-1j * t) ** power / math.factorial(power)
-        part = (columns * np.tile(phases, columns.shape[1] // energies.shape[0])) @ rows
+        stacked = np.concatenate(columns, axis=1) * np.tile(phases, len(columns))
+        part = stacked @ np.concatenate(rows)
         out[(name, "D")] = np.where(diagonal, part, 0.0)
         out[(name, "N")] = np.where(diagonal, 0.0, part)
     return out

@@ -536,6 +536,24 @@ def test_golden_rule_block_refuses_a_bad_field(tmp_path, runner, field, value, m
     assert [p.name for p in tmp_path.iterdir()] == ["rate.json"]
 
 
+def test_golden_rule_command_refuses_collapsing_detunings(tmp_path, runner):
+    # Levels near 1000: the grid energies 1e-14..3e-14 all sit 1000.0 below
+    # the initial level, so the detunings collapse; no report is written.
+    doc = golden_rule_document()
+    doc["energies"] = [1000.0, 1002.5, 1012.0]
+    grid = [-3000.0, 1e-14, 2e-14, 3e-14]
+    grid += np.linspace(800.0, 990.0, 191).tolist() + np.linspace(1010.0, 1200.0, 191).tolist()
+    coupling = 0.0025 * np.exp(-((np.array(grid) - 1000.0) ** 2) / 6.0)
+    doc["golden_rule"].update(energy_grid=grid, density=[0.7] * len(grid), coupling_sq=coupling.tolist())
+    inp = tmp_path / "rate.json"
+    inp.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "rate.csv"
+    result = runner.invoke(main, ["golden-rule", "--input", str(inp), "--output", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "energy grid points 1 and 2" in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["rate.json"]
+
+
 def test_energies_report(tmp_path, runner):
     inp = write_two_state_file(tmp_path / "sys.json")
     out = tmp_path / "energies.csv"

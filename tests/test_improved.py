@@ -529,6 +529,23 @@ def test_golden_rule_window_check():
         golden_rule(inp, two_state(v=0.1), omega_tilde=lambda om: om)
 
 
+def test_golden_rule_refuses_detunings_that_round_together():
+    # Strictly increasing energies, but 1e-14, 2e-14 and 3e-14 all lie
+    # within half an ulp of 1000, so their detunings from 1000 coincide.
+    grid = np.concatenate(
+        [[-3000.0, 1e-14, 2e-14, 3e-14], np.linspace(800.0, 990.0, 20), np.linspace(1010.0, 1200.0, 20)]
+    )
+    inp = GoldenRuleInput(
+        energy_grid=grid,
+        density_of_states=np.full(grid.shape, 0.7),
+        coupling_profile=np.full(grid.shape, 0.0025),
+        duration=50.0,
+        initial_level=0,
+    )
+    with pytest.raises(ValueError, match=r"grid points 1 and 2 \(1e-14 and 2e-14\) round to one detuning -1000 "):
+        golden_rule(inp, two_state(v=0.1, e1=1000.0, e2=1500.0), omega_tilde=lambda om: 1.01 * om)
+
+
 @pytest.mark.parametrize(
     "energies, h1_diagonal, message",
     [
