@@ -1,7 +1,8 @@
 """Batch command-line front end: read a system file, run one experiment,
 write a CSV report.
 
-The tool is a click group named ``perturbseries`` with six subcommands:
+The tool is a stdlib ``argparse`` parser named ``perturbseries`` with six
+subcommands:
 
 ``evolve``
     Truncated-series evolution of a basis state: per-time amplitudes and
@@ -30,21 +31,27 @@ additionally needs a ``golden_rule`` object holding ``energy_grid``,
 Reports are CSV with a ``#``-prefixed header block recording the tool
 version and the run configuration; complex quantities occupy two columns
 (real, imaginary).  Identical configuration and input bytes produce
-byte-identical reports.  On any error the exit status is nonzero and no
-partial output file is left behind.
+byte-identical reports.  On any error no partial output file is left
+behind, and the exit status is 2 for a bad command line (an unknown,
+abbreviated, missing or out-of-range option) and 1 for input the run
+refuses.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
+import math
 import os
-from collections.abc import Iterable, Sequence
+import re
+import sys
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple, NoReturn
 
-import click
 import numpy as np
 from numpy.typing import NDArray
 
@@ -441,6 +448,10 @@ def run(config: RunConfig) -> int:
         raise ValueError(f"unknown command {config.command!r}")
     if config.output_path is None:
         raise ValueError(f"command {config.command!r} requires an output path")
+    times = {"--t-start": config.t_start, "--t-end": config.t_end, "--time": config.time}
+    for flag, value in times.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value!r}")
     settings, columns, rows = runner(config)
     lines = [f"# perturbseries {__version__}", f"# command: {config.command}"]
     lines += [f"# {key}: {settings[key]}" for key in sorted(settings)]
@@ -465,169 +476,208 @@ def _parse_g_orders(text: str | None) -> tuple[int, ...] | None:
         else:
             orders = tuple(int(part) for part in s.split(","))
     except ValueError as exc:
-        raise click.ClickException(
+        raise ValueError(
             "--g-orders must be 'none', a comma list like '2,3,4', or a range like '2..5'; "
             f"got {text!r}"
         ) from exc
     if len(set(orders)) != len(orders) or any(not 2 <= a <= 5 for a in orders):
-        raise click.ClickException("--g-orders entries must be distinct integers in 2..5")
+        raise ValueError("--g-orders entries must be distinct integers in 2..5")
     return orders
 
 
-def _execute(config: RunConfig) -> None:
+class UsageError(Exception):
+    """A command line the parser refuses, with its usage: exit status 2 when standalone."""
+
+
+# What a run raises for input it refuses: exit status 1 when standalone.
+_REFUSED = (ValueError, TypeError, RuntimeError, OSError)
+
+
+@dataclass(frozen=True)
+class _IntRange:
+    """An argparse type: an integer in [lo, hi], or at least lo when hi is None."""
+
+    lo: int
+    hi: int | None = None
+
+    def __call__(self, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if value < self.lo or (self.hi is not None and value > self.hi):
+            bounds = f"x>={self.lo}" if self.hi is None else f"{self.lo}<=x<={self.hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+        return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting, and takes '-1e-3' or '-inf' as a value."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+        # argparse's own pattern misses exponents and infinities, and would
+        # read '--t-start -1e-3' as a missing value; no option here starts '-<digit>'.
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+class _Option(NamedTuple):
+    flag: str
+    dest: str  # the RunConfig field the option sets
+    type: Callable[[str], object] | None  # None: a switch that sets the field to False
+    default: object
+    help: str
+    required: bool = False
+
+
+# Options are declared once, here: each command's parsed options are its
+# RunConfig keywords.  --g-orders is parsed after the command line, so that
+# a bad value is refused (exit status 1) rather than a usage error.
+_INPUT = _Option("--input", "input_path", str, None, "JSON system file.", required=True)
+_OUTPUT = _Option("--output", "output_path", str, None, "CSV report path.", required=True)
+_NO_REDIVISION = _Option(
+    "--no-redivision", "redivision", None, True,
+    "Skip redivision (keep raw energies and the full perturbation).",
+)
+_TOL_DEG = _Option(
+    "--tol-deg", "tol_deg", float, DEFAULT_DEGENERACY_TOL,
+    "Relative degeneracy threshold for redivision.",
+)
+_GRID = (
+    _Option("--t-start", "t_start", float, 0.0, "First time of the grid."),
+    _Option("--t-end", "t_end", float, 10.0, "Last time of the grid."),
+    _Option("--t-steps", "t_steps", _IntRange(1), 101, "Number of grid times."),
+)
+
+_COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
+    "evolve": ("Evolve a basis state with the truncated series.", (
+        _INPUT,
+        _OUTPUT,
+        _Option("--order", "order", _IntRange(0, DEFAULT_L_MAX), 4, "Series truncation order L."),
+        _Option("--initial", "initial_level", _IntRange(0), 0, "Initial level."),
+        *_GRID,
+        _NO_REDIVISION,
+        _TOL_DEG,
+    )),
+    "compare": ("Compare truncated and improved series against the exact propagator.", (
+        _INPUT,
+        _OUTPUT,
+        _Option(
+            "--order", "order", _IntRange(0, 3), 3,
+            "Truncation order L for both series; the improved forms stop at 3.",
+        ),
+        _Option(
+            "--g-orders", "g_orders", str, None,
+            "Revision orders for the improved exponents: 'none', '2,3', or '2..5' "
+            "(default: per-equation).",
+        ),
+        *_GRID,
+        _NO_REDIVISION,
+        _TOL_DEG,
+    )),
+    "terms": ("List the term catalog (with values for order <= 4 when a system is given).", (
+        _INPUT._replace(required=False, help="JSON system file (optional)."),
+        _OUTPUT,
+        _Option(
+            "--order", "order", _IntRange(2, 6), None, "Expansion order l of the catalog.",
+            required=True,
+        ),
+        _Option("--time", "time", float, 1.0, "Evaluation time."),
+        _Option("--from-level", "initial_level", _IntRange(0), 0, "Initial level."),
+        _Option("--to-level", "final_level", _IntRange(0), 0, "Final level."),
+        _NO_REDIVISION,
+        _TOL_DEG,
+    )),
+    "golden-rule": ("Golden-rule rate plus finite-time revision from a tabulated continuum.", (
+        _INPUT,
+        _OUTPUT,
+        _NO_REDIVISION,
+        _TOL_DEG,
+    )),
+    "two-state": ("Two-level table: usual, improved and exact transition probabilities.", (
+        _OUTPUT,
+        _Option("--e1", "e1", float, 0.0, "First level energy."),
+        _Option("--e2", "e2", float, 1.0, "Second level energy."),
+        _Option("--v", "v", float, 0.1, "Real off-diagonal coupling."),
+        *_GRID,
+        _TOL_DEG,
+    )),
+    "energies": ("Shifted level energies against exact eigenvalues.", (
+        _INPUT,
+        _OUTPUT,
+        _Option(
+            "--g-orders", "g_orders", str, None,
+            "Revision orders in the shifted energies: 'none', '2,3', or '2..5' "
+            "(default: 2,3,4).",
+        ),
+        _NO_REDIVISION,
+        _TOL_DEG,
+    )),
+}
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built from _COMMANDS once per process."""
+    parser = _Parser(
+        prog="perturbseries",
+        description="Perturbation-series experiments over small quantum systems.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"perturbseries, version {__version__}"
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (summary, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary, description=summary)
+        for opt in options:
+            if opt.type is None:
+                sub.add_argument(opt.flag, dest=opt.dest, action="store_false", help=opt.help)
+                continue
+            sub.add_argument(
+                opt.flag,
+                dest=opt.dest,
+                type=opt.type,
+                default=opt.default,
+                required=opt.required,
+                metavar=opt.flag[2:].upper(),
+                help=opt.help if opt.default is None else opt.help + " Default: %(default)s.",
+            )
+    return parser
+
+
+def main(argv: Sequence[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Standalone, a usage error prints the usage and exits with status 2, and
+    refused input prints ``Error: <message>`` to stderr and exits with 1.
+    With ``standalone_mode=False`` both raise (UsageError, or the ValueError,
+    TypeError, RuntimeError or OSError that refused the input) and
+    ``--help`` and ``--version`` return after printing; nothing raises
+    SystemExit.  A failed run writes no report.
+    """
     try:
-        run(config)
-    except click.ClickException:
-        raise
-    except (ValueError, TypeError, RuntimeError, OSError) as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
-# Every option's destination is its RunConfig field, so each command passes
-# its parsed options straight through as RunConfig keywords.  --g-orders is
-# parsed in the command body, not in a click callback, so that a bad value
-# is reported only after click's own usage errors (exit status 2).
-_input_option = click.option(
-    "--input", "input_path", type=click.Path(), required=True, help="JSON system file."
-)
-_output_option = click.option(
-    "--output", "output_path", type=click.Path(), required=True, help="CSV report path."
-)
-_tol_deg_option = click.option(
-    "--tol-deg",
-    type=float,
-    default=DEFAULT_DEGENERACY_TOL,
-    show_default=True,
-    help="Relative degeneracy threshold for redivision.",
-)
-_no_redivision_option = click.option(
-    "--no-redivision",
-    "redivision",
-    flag_value=False,
-    default=True,
-    help="Skip redivision (keep raw energies and the full perturbation).",
-)
-
-
-def _g_orders_option(help_text: str):
-    return click.option("--g-orders", type=str, default=None, help=help_text)
-
-
-def _grid_options(fn):
-    fn = click.option("--t-start", type=float, default=0.0, show_default=True)(fn)
-    fn = click.option("--t-end", type=float, default=10.0, show_default=True)(fn)
-    fn = click.option(
-        "--t-steps", type=click.IntRange(min=1), default=101, show_default=True
-    )(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="perturbseries")
-def main() -> None:
-    """Perturbation-series experiments over small quantum systems."""
-
-
-@main.command("evolve")
-@_input_option
-@_output_option
-@click.option(
-    "--order",
-    type=click.IntRange(0, DEFAULT_L_MAX),
-    default=4,
-    show_default=True,
-    help="Series truncation order L.",
-)
-@click.option(
-    "--initial", "initial_level", type=click.IntRange(min=0), default=0, show_default=True
-)
-@_grid_options
-@_no_redivision_option
-@_tol_deg_option
-def evolve_cmd(**options) -> None:
-    """Evolve a basis state with the truncated series."""
-    _execute(RunConfig(command="evolve", **options))
-
-
-@main.command("compare")
-@_input_option
-@_output_option
-@click.option(
-    "--order",
-    type=click.IntRange(0, 3),
-    default=3,
-    show_default=True,
-    help="Truncation order L for both series (improved forms stop at 3).",
-)
-@_g_orders_option(
-    "Revision orders for the improved exponents: 'none', '2,3', or '2..5' (default: per-equation)."
-)
-@_grid_options
-@_no_redivision_option
-@_tol_deg_option
-def compare_cmd(g_orders: str | None, **options) -> None:
-    """Compare truncated and improved series against the exact propagator."""
-    _execute(RunConfig(command="compare", g_orders=_parse_g_orders(g_orders), **options))
-
-
-@main.command("terms")
-@click.option(
-    "--input", "input_path", type=click.Path(), default=None, help="JSON system file (optional)."
-)
-@_output_option
-@click.option(
-    "--order",
-    type=click.IntRange(2, 6),
-    required=True,
-    help="Expansion order l of the catalog.",
-)
-@click.option("--time", type=float, default=1.0, show_default=True, help="Evaluation time.")
-@click.option(
-    "--from-level", "initial_level", type=click.IntRange(min=0), default=0, show_default=True
-)
-@click.option(
-    "--to-level", "final_level", type=click.IntRange(min=0), default=0, show_default=True
-)
-@_no_redivision_option
-@_tol_deg_option
-def terms_cmd(**options) -> None:
-    """List the term catalog (with values for order <= 4 when a system is given)."""
-    _execute(RunConfig(command="terms", **options))
-
-
-@main.command("golden-rule")
-@_input_option
-@_output_option
-@_no_redivision_option
-@_tol_deg_option
-def golden_rule_cmd(**options) -> None:
-    """Golden-rule rate plus finite-time revision from a tabulated continuum."""
-    _execute(RunConfig(command="golden-rule", **options))
-
-
-@main.command("two-state")
-@_output_option
-@click.option("--e1", type=float, default=0.0, show_default=True)
-@click.option("--e2", type=float, default=1.0, show_default=True)
-@click.option("--v", type=float, default=0.1, show_default=True, help="Real off-diagonal coupling.")
-@_grid_options
-@_tol_deg_option
-def two_state_cmd(**options) -> None:
-    """Two-level table: usual, improved and exact transition probabilities."""
-    _execute(RunConfig(command="two-state", **options))
-
-
-@main.command("energies")
-@_input_option
-@_output_option
-@_g_orders_option(
-    "Revision orders in the shifted energies: 'none', '2,3', or '2..5' (default 2,3,4)."
-)
-@_no_redivision_option
-@_tol_deg_option
-def energies_cmd(g_orders: str | None, **options) -> None:
-    """Shifted level energies against exact eigenvalues."""
-    _execute(RunConfig(command="energies", g_orders=_parse_g_orders(g_orders), **options))
+        try:
+            options = vars(_parser().parse_args(argv))
+        except SystemExit:  # --help or --version has printed
+            if standalone_mode:
+                raise
+            return
+        if "g_orders" in options:
+            options["g_orders"] = _parse_g_orders(options["g_orders"])
+        run(RunConfig(**options))
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        sys.stderr.write(f"{exc}\n")
+        sys.exit(2)
+    except _REFUSED as exc:
+        if not standalone_mode:
+            raise
+        sys.stderr.write(f"Error: {exc}\n")
+        sys.exit(1)
 
 
 if __name__ == "__main__":  # pragma: no cover

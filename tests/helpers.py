@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+from typing import NamedTuple
+
 import numpy as np
 
 from perturbseries.improved import simpson
@@ -103,3 +107,22 @@ def assert_simpson_matches_scipy(y: np.ndarray, x: np.ndarray) -> None:
     from scipy.integrate import simpson as scipy_simpson
 
     assert np.float64(simpson(y, x=x)).tobytes() == np.float64(scipy_simpson(y, x=x)).tobytes()
+
+
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+
+
+class CliRunner:
+    """Runs a command-line entry point in process, as a shell user would see it."""
+
+    def invoke(self, main, args) -> Result:
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
+            try:
+                main(list(args))
+                code = 0
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        return Result(code, captured.getvalue())

@@ -13,16 +13,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import perturbseries
-from perturbseries.cli import RunConfig, _parse_g_orders, main, parse_spec_file, run
+from perturbseries.cli import (
+    _COMMANDS,
+    RunConfig,
+    _parse_g_orders,
+    main,
+    parse_spec_file,
+    run,
+)
 from perturbseries.improved import GoldenRuleInput, golden_rule, improved_transition_probability
 from perturbseries.model import SystemSpec, redivide
 from perturbseries.series import amplitude_order
 
 from dd_blocks_loop import dd_blocks_loop
-from helpers import two_state
+from helpers import CliRunner, two_state
 from two_state_closed import two_state_closed_form
 
 
@@ -51,6 +57,12 @@ def read_report(path):
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _fresh_interpreter_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this perturbseries."""
+    src = str(Path(perturbseries.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +297,7 @@ def test_terms_reports_are_byte_identical(tmp_path, runner):
     first, second, fresh = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     assert runner.invoke(main, args(first)).exit_code == 0
     assert runner.invoke(main, args(second)).exit_code == 0
-    src = str(Path(perturbseries.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _fresh_interpreter_env()
     code = f"from perturbseries.cli import main; main({args(fresh)!r})"
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60, check=True)
     assert first.read_bytes() == second.read_bytes() == fresh.read_bytes()
@@ -812,6 +823,125 @@ def test_version_flag(runner):
     assert "perturbseries" in result.output
 
 
+def test_version_flag_in_a_fresh_interpreter():
+    done = subprocess.run(
+        [sys.executable, "-m", "perturbseries.cli", "--version"],
+        env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"perturbseries, version {perturbseries.__version__}\n"
+
+
+# A command line per command that runs; each case below breaks it in one place.
+_VALID_ARGV = {
+    "evolve": ["--input", "sys.json", "--output", "out.csv"],
+    "compare": ["--input", "sys.json", "--output", "out.csv"],
+    "terms": ["--input", "sys.json", "--output", "out.csv", "--order", "3"],
+    "golden-rule": ["--input", "sys.json", "--output", "out.csv"],
+    "two-state": ["--output", "out.csv"],
+    "energies": ["--input", "sys.json", "--output", "out.csv"],
+}
+_REQUIRED = {
+    "evolve": ["--input", "--output"],
+    "compare": ["--input", "--output"],
+    "terms": ["--output", "--order"],
+    "golden-rule": ["--input", "--output"],
+    "two-state": ["--output"],
+    "energies": ["--input", "--output"],
+}
+# Each range-checked option, one step outside each end of its range.
+_OUT_OF_RANGE = {
+    "evolve": [("--order", "-1"), ("--order", "7"), ("--initial", "-1"), ("--t-steps", "0")],
+    "compare": [("--order", "-1"), ("--order", "4"), ("--t-steps", "0")],
+    "terms": [("--order", "1"), ("--order", "7"), ("--from-level", "-1"), ("--to-level", "-1")],
+    "golden-rule": [],
+    "two-state": [("--t-steps", "0")],
+    "energies": [],
+}
+
+
+def _usage_error_cases():
+    for command, valid in _VALID_ARGV.items():
+        for flag, value in _OUT_OF_RANGE[command]:
+            yield pytest.param(command, [*valid, flag, value], id=f"{command} {flag} {value}")
+        yield pytest.param(command, [*valid, "--bogus", "1"], id=f"{command} --bogus")
+        abbreviated = ["--out" if arg == "--output" else arg for arg in valid]
+        yield pytest.param(command, abbreviated, id=f"{command} --out")
+        for flag in _REQUIRED[command]:
+            at = valid.index(flag)
+            yield pytest.param(command, valid[:at] + valid[at + 2 :], id=f"{command} without {flag}")
+
+
+@pytest.fixture
+def in_fixture_dir(tmp_path, monkeypatch):
+    """A working directory holding only sys.json, a system with a golden-rule block."""
+    monkeypatch.chdir(tmp_path)
+    Path("sys.json").write_text(json.dumps(golden_rule_document()), encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_the_usage_cases_start_from_a_command_line_that_runs(in_fixture_dir, runner, command):
+    result = runner.invoke(main, [command, *_VALID_ARGV[command]])
+    assert result.exit_code == 0, result.output
+    assert Path("out.csv").exists()
+
+
+@pytest.mark.parametrize("command,argv", _usage_error_cases())
+def test_usage_errors_exit_2_and_write_nothing(in_fixture_dir, runner, command, argv):
+    result = runner.invoke(main, [command, *argv])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("usage: perturbseries")
+    assert "error: " in result.output
+    assert os.listdir() == ["sys.json"]
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("evolve --t-end inf", "--t-end must be a finite number, got inf"),
+        ("compare --t-start nan", "--t-start must be a finite number, got nan"),
+        ("terms --time nan", "--time must be a finite number, got nan"),
+        ("two-state --t-end -inf", "--t-end must be a finite number, got -inf"),
+        ("compare --g-orders 2,9", "--g-orders entries must be distinct integers in 2..5"),
+        ("energies --g-orders two", "--g-orders must be 'none', a comma list"),
+    ],
+)
+def test_refused_input_exits_1_and_writes_nothing(in_fixture_dir, runner, line, message):
+    command, *argv = line.split()
+    result = runner.invoke(main, [command, *_VALID_ARGV[command], *argv])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"Error: {message}")
+    assert os.listdir() == ["sys.json"]
+
+
+def test_programmatic_main_returns_or_raises_but_never_exits(in_fixture_dir, capsys):
+    assert main(["evolve", *_VALID_ARGV["evolve"]], standalone_mode=False) is None
+    os.remove("out.csv")
+    failing = [
+        ["evolve", *_VALID_ARGV["evolve"], "--order", "9"],
+        ["evolve", "--input", "sys.json", "--out", "out.csv"],
+        ["evolve", *_VALID_ARGV["evolve"], "--t-end", "inf"],
+        ["evolve", "--input", "absent.json", "--output", "out.csv"],
+    ]
+    # SystemExit is no Exception, so it would escape pytest.raises
+    for argv in failing:
+        with pytest.raises(Exception):
+            main(argv, standalone_mode=False)
+        assert os.listdir() == ["sys.json"]
+    assert main(["--version"], standalone_mode=False) is None
+    assert capsys.readouterr().out == f"perturbseries, version {perturbseries.__version__}\n"
+
+
+@pytest.mark.parametrize("text", ["-1e-3", "-.5", "-2", "-inf"])
+def test_negative_numbers_in_any_spelling_are_option_values(monkeypatch, runner, text):
+    seen = []
+    monkeypatch.setattr("perturbseries.cli.run", seen.append)
+    result = runner.invoke(main, ["two-state", "--output", "o.csv", "--e1", text, "--t-start", text])
+    assert result.exit_code == 0, result.output
+    assert (seen[0].e1, seen[0].t_start) == (float(text), float(text))
+
+
 # ---------------------------------------------------------------------------
 # option mapping: every option of every command reaches its RunConfig field
 
@@ -858,11 +988,11 @@ _OPTION_CASES = {
 @pytest.mark.parametrize("command", sorted(_OPTION_CASES))
 def test_every_option_reaches_its_run_config_field(command, runner, monkeypatch):
     argv, fields = _OPTION_CASES[command]
-    params = main.commands[command].params
+    _, options = _COMMANDS[command]
     # the case gives every option of the command a value other than its default
-    assert {param.opts[0] for param in params} == {arg for arg in argv if arg.startswith("--")}
-    assert {param.name for param in params} == set(fields)
-    assert all(fields[param.name] != param.default for param in params)
+    assert {opt.flag for opt in options} == {arg for arg in argv if arg.startswith("--")}
+    assert {opt.dest for opt in options} == set(fields)
+    assert all(fields[opt.dest] != opt.default for opt in options)
     seen = []
     monkeypatch.setattr("perturbseries.cli.run", seen.append)
     result = runner.invoke(main, [command, *argv])
@@ -884,9 +1014,7 @@ def test_parse_g_orders():
 
 @pytest.mark.parametrize("text", ["abc", "1,2", "2,2", "2..9"])
 def test_parse_g_orders_rejects(text):
-    import click
-
-    with pytest.raises(click.ClickException):
+    with pytest.raises(ValueError, match="--g-orders"):
         _parse_g_orders(text)
 
 
@@ -919,8 +1047,7 @@ def modules_loaded_by_every_command(tmp_path_factory):
     work = tmp_path_factory.mktemp("every-command")
     (work / "sys.json").write_text(json.dumps(golden_rule_document()), encoding="utf-8")
     argvs = [[cmd, *args, "--output", f"{cmd}.csv"] for cmd, (args, _) in _LAYOUT_CASES.items()]
-    src = str(Path(perturbseries.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _fresh_interpreter_env()
     done = subprocess.run(
         [sys.executable, "-c", _RUN_EVERY_COMMAND, json.dumps(argvs)],
         cwd=work, env=env, capture_output=True, text=True, timeout=120, check=True,
@@ -944,7 +1071,7 @@ def test_runtime_dependencies_are_the_modules_the_commands_load(modules_loaded_b
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     runtime = _requirement_names(project["dependencies"])
     third_party = {m.split(".")[0] for m in modules_loaded_by_every_command} - set(sys.stdlib_module_names)
-    assert third_party <= {"numpy", "click", "perturbseries"}
+    assert third_party <= {"numpy", "perturbseries"}
     assert third_party - {"perturbseries"} <= runtime
     assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
     assert "scipy" not in runtime

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from perturbseries.cli import main
 from perturbseries.improved import (
@@ -30,7 +29,14 @@ from perturbseries.oracle import diagonalize, exact_transition_probability
 from perturbseries.series import amplitude_order
 from perturbseries.terms import split_t_power_parts
 
-from helpers import chain_system, ladder_system, planted_system, random_system, two_state
+from helpers import (
+    CliRunner,
+    chain_system,
+    ladder_system,
+    planted_system,
+    random_system,
+    two_state,
+)
 from revision_loop import loop_revisions
 
 # ---------------------------------------------------------------------------
