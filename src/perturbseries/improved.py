@@ -6,13 +6,14 @@ resummed into shifted level energies: each level picks up a hierarchy of
 real corrections, here called revision energies, and the low-order
 amplitudes are rewritten with the shifted energies in every exponent while
 keeping the original energy denominators.  This module computes the
-revision hierarchy through fifth order, evaluates the rewritten amplitudes
-of orders zero through three from residue weights of the resolvent
-expansion (built once per system from one residue table, then one matrix
-product per time), and exposes the derived quantities that make
-the scheme useful: an improved two-level transition probability, a revised
-golden-rule transition rate for a tabulated continuum, and stationary
-perturbed energies/states.
+revision hierarchy through fifth order, and the perturbed states, from one
+Rayleigh-Schrodinger recursion for all levels at once; evaluates the
+rewritten amplitudes of orders zero through three from residue weights of
+the resolvent expansion (built once per system from one residue table,
+then one matrix product per time); and exposes the derived quantities that
+make the scheme useful: an improved two-level transition probability, a
+revised golden-rule transition rate for a tabulated continuum, and
+stationary perturbed energies/states.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ class RevisionEnergies:
     already absorbed, recorded in ``h1``).  ``g2`` .. ``g5`` hold one real
     revision per level; orders above ``max_order`` were not computed and
     are stored as zeros.  ``imag_residual`` is the largest imaginary part
-    discarded when realifying the third- through fifth-order sums — the
-    sums are provably real for Hermitian couplings, so this is a
-    round-off diagnostic.
+    discarded when realifying the revisions of orders two through
+    ``max_order`` — they are provably real for Hermitian couplings, so
+    this is a round-off diagnostic.
     """
 
     energies: NDArray[np.float64]
@@ -156,14 +157,13 @@ class RevisionEnergies:
 def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     """Compute the per-level revision hierarchy up to ``max_order``.
 
-    Order two is the familiar second-order level shift
-    ``sum_i |g[gamma, i]|^2 / (E'_gamma - E'_i)``.  Orders three to five
-    sum longer closed coupling chains that start and end at the same
-    level, with products of inverse gaps measured from that level, minus
-    the disconnected-product corrections that remove the reducible part.
-    Row gamma of every array below belongs to reference level gamma, so
-    each sum runs for all levels at once.  All four are real for a
-    Hermitian coupling matrix; the tiny imaginary round-off actually
+    The revision of order j is the Rayleigh-Schrodinger energy correction
+    E^(j), for all levels at once from ``_rayleigh_schrodinger``: order two
+    is the shift ``sum_i |g[gamma, i]|^2 / (E'_gamma - E'_i)``, and each
+    higher order sums the closed coupling chains from gamma back to itself,
+    minus products of lower revisions.  E^(1) is taken as zero, as
+    redivision leaves it, so a kept diagonal coupling is refused.  All
+    orders are real for a Hermitian coupling; the tiny imaginary round-off
     discarded is reported in ``imag_residual``.
     """
     if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
@@ -171,38 +171,17 @@ def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     if not 2 <= max_order <= 5:
         raise ValueError("max_order must lie in 2..5")
     energies = sys.energies_redivided
-    g = sys.g
-    n = sys.dimension
     why = "; the fourth- and fifth-order revision sums would divide by zero" if max_order >= 4 else ""
     # An order-m chain visits only levels within m // 2 couplings of gamma.
-    _refuse_coupled_ties(energies, g, max_order // 2, why=why)
-    q = _reduced_resolvents(energies)
-    absq = np.abs(g) ** 2
-    s1 = np.sum(absq * q, axis=1)
-    sums = {order: np.zeros(n, dtype=np.complex128) for order in (3, 4, 5)}
-    if max_order >= 3:
-        v_out = g * q  # leave gamma, one inverse gap per step
-        v_in = g.T * q  # return to gamma, one inverse gap
-        hop1 = v_out @ g
-        sums[3] = np.sum(hop1 * v_in, axis=1)
-    if max_order >= 4:
-        hop3 = ((hop1 * q) @ g) * q  # three steps out of gamma
-        s2 = np.sum(absq * (q * q), axis=1)
-        sums[4] = np.sum(hop3 * g.T, axis=1) - s2 * s1
-    if max_order >= 5:
-        c21 = np.sum(((g * (q * q)) @ g) * v_in, axis=1)
-        c12 = np.sum(hop1 * (g.T * (q * q)), axis=1)
-        chain5 = np.sum(((hop3 @ g) * q) * g.T, axis=1)
-        sums[5] = chain5 - (s2 * sums[3] + s1 * (c21 + c12))
+    _refuse_coupled_ties(energies, sys.g, max_order // 2, diagonal=True, why=why)
+    shifts, _ = _rayleigh_schrodinger(energies, sys.g, max_order)
+    revisions = [shifts[j].real if j <= max_order else np.zeros(sys.dimension) for j in range(2, 6)]
     return RevisionEnergies(
-        energies=energies,
-        h1=sys.diagonal_shift,
-        g2=s1,
-        g3=sums[3].real,
-        g4=sums[4].real,
-        g5=sums[5].real,
+        energies,
+        sys.diagonal_shift,
+        *revisions,
         max_order=int(max_order),
-        imag_residual=max(float(np.max(np.abs(v.imag))) for v in sums.values()),
+        imag_residual=max(float(np.max(np.abs(v.imag))) for v in shifts[2:]),
     )
 
 
@@ -232,6 +211,32 @@ def _reduced_resolvents(e: NDArray[np.float64]) -> NDArray[np.float64]:
     q = np.zeros(diff.shape)
     np.divide(1.0, diff, out=q, where=diff != 0.0)
     return q
+
+
+def _rayleigh_schrodinger(
+    e: NDArray[np.float64], g: NDArray[np.complex128], order: int
+) -> tuple[list[NDArray[np.complex128]], list[NDArray[np.complex128]]]:
+    """Rayleigh-Schrodinger corrections of all levels, in intermediate normalisation.
+
+    ``shifts[j][k]`` is the energy correction E^(j) of level k (j <= order)
+    and column k of ``states[j]`` its state correction Psi_j (j < order):
+    Psi_0 = 1, E^(j) = diag(g Psi_{j-1}) and
+    Psi_j = q^T * (g Psi_{j-1} - sum_{i=2}^{j-1} E^(i) Psi_{j-i}), with q
+    from ``_reduced_resolvents``: one N x N product per order.  E^(0) and
+    E^(1) are zero, as redivision absorbs the diagonal of g (callers refuse
+    one that is kept).
+    """
+    qt = _reduced_resolvents(e).T
+    shifts = [np.zeros(e.shape, dtype=np.complex128)] * 2
+    states = [np.eye(e.shape[0], dtype=np.complex128), qt * g]
+    for j in range(2, order):
+        product = g @ states[j - 1]
+        shifts.append(np.diagonal(product).copy())
+        for i in range(2, j):
+            product -= shifts[i] * states[j - i]
+        states.append(qt * product)
+    shifts.append(np.einsum("kl,lk->k", g, states[order - 1]))
+    return shifts, states
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -539,10 +544,7 @@ def _second_order_map(
     e = sys.energies_redivided
     e_beta = float(e[beta])
     _refuse_coupled_ties(e, sys.g, 1, level=beta, diagonal=True)
-    absq_beta = np.abs(sys.g[beta, :]) ** 2
-    mask_b = absq_beta > 0.0
-    gaps_b = e_beta - e[mask_b]
-    shift_beta = float(np.sum(absq_beta[mask_b] / gaps_b))
+    shift_beta = float(_rayleigh_schrodinger(e, sys.g, 2)[0][2][beta].real)
     absq_final = np.abs(sys.g[final_level, :]) ** 2
     mask_f = absq_final > 0.0
     poles = e[mask_f]
@@ -661,21 +663,16 @@ def improved_perturbed_state(
 ) -> dict[str, NDArray[np.complex128]]:
     """Expansion coefficients of one perturbed eigenstate, orders 0..2.
 
-    The zeroth order is the unit vector on the chosen level.  The first
-    and second orders are the off-diagonal textbook coefficients (no
-    normalization correction): the improved scheme moves all diagonal
-    information into the shifted energies, so the diagonal entries of
-    the corrections are exactly zero.
+    The zeroth order is the unit vector on the chosen level; the first and
+    second are its columns of the revisions' state corrections Psi_1 and
+    Psi_2 (``_rayleigh_schrodinger``), with no normalization correction.
+    The improved scheme moves all diagonal information into the shifted
+    energies, so their diagonal entries are exactly zero, and a diagonal
+    coupling kept on ``level`` is refused.
     """
     beta = _check_level(sys, level, "level")
     e = sys.energies_redivided
-    g = sys.g
-    n = sys.dimension
     # q drops the levels tied with beta: exact unless one reaches beta in one or two hops.
-    _refuse_coupled_ties(e, g, 2, level=beta)
-    q_beta = _reduced_resolvents(e)[beta]
-    a0 = np.zeros(n, dtype=np.complex128)
-    a0[beta] = 1.0
-    a1 = q_beta * g[:, beta]
-    a2 = q_beta * (g @ a1)
-    return {"a0": a0, "a1": a1, "a2": a2}
+    _refuse_coupled_ties(e, sys.g, 2, level=beta, diagonal=True)
+    _, states = _rayleigh_schrodinger(e, sys.g, 3)
+    return {f"a{j}": states[j][:, beta].copy() for j in range(3)}

@@ -154,13 +154,15 @@ def _refuse_coupled_ties(
     chain of at most ``hops`` nonzero couplings are refused.  With
     ``diagonal``, so is a diagonal coupling left by skipping redivision (a
     tie of a level with itself).  Given ``level``, only ties with that
-    level count.  ``why`` ends the message.
+    level count.  ``why`` ends the message on a tie.
     """
     n = energies.shape[0]
     rows = np.arange(n) if level is None else np.array([level])
     kept = rows[np.diagonal(g)[rows] != 0]
     if diagonal and kept.size:
-        raise IncompleteDegeneracyRemoval(f"level {kept[0]} keeps a diagonal coupling{why}")
+        raise IncompleteDegeneracyRemoval(
+            f"level {kept[0]} keeps a diagonal coupling, which redivision absorbs into its energy"
+        )
     ties = (energies[rows, np.newaxis] == energies) & (rows[:, np.newaxis] != np.arange(n))
     if not ties.any():
         return

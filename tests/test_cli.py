@@ -623,6 +623,21 @@ def test_energies_refuses_ambiguous_pairing(tmp_path, runner):
     assert not out.exists()
 
 
+def test_energies_refuses_a_kept_diagonal(tmp_path, runner):
+    # Without redivision levels 0 and 1 keep their diagonal coupling, whose
+    # first-order shift the revisions would drop from e_tilde.
+    inp = _write_system(
+        tmp_path / "sys.json", [0, 1, 2.2], [[0.2, 0.05, 0], [0.05, -0.1, 0.03], [0, 0.03, 0]]
+    )
+    out = tmp_path / "energies.csv"
+    result = runner.invoke(
+        main, ["energies", "--no-redivision", "--input", str(inp), "--output", str(out)]
+    )
+    assert result.exit_code == 1, result.output
+    assert "level 0 keeps a diagonal coupling, which redivision absorbs" in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["sys.json"]
+
+
 # ---------------------------------------------------------------------------
 # report layout: the header block and the column line, as literal text
 

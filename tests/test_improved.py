@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,7 +50,10 @@ def test_two_state_revisions_exact():
     v2 = 0.1 * 0.1
     assert rev.g2[0] == -v2 and rev.g2[1] == v2
     assert rev.g3[0] == 0.0 and rev.g3[1] == 0.0
-    assert rev.g4[0] == v2 * v2 and rev.g4[1] == -(v2 * v2)
+    # Within one ulp of the exact fourth power of the binary 0.1.
+    v4 = Fraction(0.1) ** 4
+    ulp = math.ulp(float(v4))
+    assert abs(Fraction(rev.g4[0]) - v4) <= ulp and abs(Fraction(rev.g4[1]) + v4) <= ulp
     assert rev.g5[0] == 0.0 and rev.g5[1] == 0.0
     assert rev.imag_residual == 0.0
 
@@ -108,6 +112,23 @@ def test_revisions_are_real_with_tiny_residual(rng):
     for arr in (rev.g2, rev.g3, rev.g4, rev.g5):
         assert arr.dtype == np.float64
     assert rev.imag_residual < 1e-14
+
+
+def _kept_diagonal() -> SplitSystem:
+    """Redivision skipped: levels 0 and 1 keep a diagonal coupling, level 2 none."""
+    h1 = np.array([[0.2, 0.05, 0.0], [0.05, -0.1, 0.03], [0.0, 0.03, 0.0]])
+    return redivide(SystemSpec(energies=np.array([0.0, 1.0, 2.2]), h1=h1), enabled=False)
+
+
+@pytest.mark.parametrize("max_order", [2, 3, 4, 5])
+def test_revisions_refuse_a_kept_diagonal(max_order):
+    # The revisions take the first-order shift as absorbed; with the
+    # diagonal kept they would drop it.
+    with pytest.raises(
+        IncompleteDegeneracyRemoval,
+        match="^level 0 keeps a diagonal coupling, which redivision absorbs into its energy$",
+    ):
+        revision_energies(_kept_diagonal(), max_order)
 
 
 def test_revision_order_gating(rng):
@@ -922,6 +943,21 @@ def test_perturbed_state_tolerates_tie_three_hops_away():
     res = improved_perturbed_state(sys, 0)
     a1, a2 = _projector_formulas(sys, 0)
     assert res["a1"][3] == 0.0 and res["a2"][3] == 0.0
+    np.testing.assert_allclose(res["a1"], a1, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(res["a2"], a2, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_perturbed_state_refuses_its_own_kept_diagonal(level):
+    with pytest.raises(IncompleteDegeneracyRemoval, match=f"level {level} keeps a diagonal coupling"):
+        improved_perturbed_state(_kept_diagonal(), level)
+
+
+def test_perturbed_state_accepts_a_level_without_a_diagonal():
+    # Diagonals of the other levels enter the textbook coefficients as they are.
+    sys = _kept_diagonal()
+    res = improved_perturbed_state(sys, 2)
+    a1, a2 = _projector_formulas(sys, 2)
     np.testing.assert_allclose(res["a1"], a1, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(res["a2"], a2, rtol=1e-12, atol=0.0)
 

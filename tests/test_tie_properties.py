@@ -3,7 +3,8 @@
 Each system plants one or two exact ties among three to five levels and
 draws every coupling link independently.  The closed-form amplitudes and
 the path-walk split decide, term by term, whether a tie sits where a
-route would divide by it; the package decides from coupling chains.
+route would divide by it, and the per-level revision loop decides level by
+level; the package decides from coupling chains.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from perturbseries.improved import improved_amplitude  # noqa: E402
+from perturbseries.improved import improved_amplitude, revision_energies  # noqa: E402
 from perturbseries.model import IncompleteDegeneracyRemoval  # noqa: E402
 from perturbseries.terms import split_t_power_parts  # noqa: E402
 
 from helpers import planted_system  # noqa: E402
 from improved_closed import closed_amplitude  # noqa: E402
+from revision_loop import loop_revisions  # noqa: E402
 from tpower_paths import path_split  # noqa: E402
 
 LINK_PROBABILITY = 0.45
@@ -83,3 +85,20 @@ def test_split_refuses_ties_that_need_higher_t_powers(sys):
         ref = path_split(sys, order, [1.3])
         needs_more = any(np.any(v != 0.0) for (p, _), v in ref.items() if p > 2)
         assert _refused(lambda: split_t_power_parts(sys, order, 1.3)) == needs_more, order
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sys=systems)
+def test_revisions_refuse_ties_like_the_loop(sys):
+    for max_order in range(2, 6):
+        try:
+            ref = loop_revisions(sys, max_order)
+        except IncompleteDegeneracyRemoval as exc:
+            with pytest.raises(IncompleteDegeneracyRemoval) as refused:
+                revision_energies(sys, max_order)
+            assert str(refused.value) == str(exc), max_order
+            continue
+        rev = revision_energies(sys, max_order)
+        scale = max(float(np.max(np.abs(v))) for v in ref.values())
+        for order, expected in ref.items():
+            assert np.max(np.abs(rev.revision(order) - expected)) <= 1e-13 * scale, (max_order, order)
