@@ -298,8 +298,7 @@ def _run_evolve(cfg: RunConfig) -> _Report:
     }
     columns = ["t", *(f"c{j}_{part}" for j in range(n) for part in ("re", "im")), "norm"]
     parts = np.stack([amps.real, amps.imag], axis=2).reshape(len(ts), 2 * n)
-    norms = [np.linalg.norm(amp) for amp in amps]
-    return settings, columns, np.column_stack([ts, parts, norms]).tolist()
+    return settings, columns, np.column_stack([ts, parts, np.linalg.norm(amps, axis=1)]).tolist()
 
 
 def _run_compare(cfg: RunConfig) -> _Report:

@@ -18,16 +18,16 @@ exponential of the centered matrix), which keeps the scaled norm small.
 `_dd_value` runs a stack of node sets at once.  `_dd_blocks` is the form
 the series uses: the divided differences over every index path through a
 set of levels, weighted by the coupling products along the path and
-summed, for all orders up to L and a grid of times at once.  It is the
-same route applied to the block upper-bidiagonal matrix with the level
-energies on the diagonal and the coupling above.
+summed, for all orders up to L and a grid of times at once: the same
+route on the block matrix with the level energies on the diagonal and the
+coupling above, its Taylor polynomial in coefficient form (no division).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, frexp, ldexp
 
 import numpy as np
 from numpy.typing import NDArray
@@ -125,9 +125,10 @@ def _dd_blocks(
 
     The exponential is `_dd_value`'s mean-shifted Taylor scaling and
     squaring, with the scaling chosen per time: time t is scaled to the step
-    -i*t/2^s.  Block l is homogeneous of degree l in g, so only the diagonal
-    part sets the scaling, and the Taylor degree grows with L so that block
-    L is truncated at the same relative order as block 0.
+    -i*t/2^s, and `_taylor` evaluates the polynomial of the step times the
+    unscaled block matrix.  Block l is homogeneous of degree l in g, so only
+    the diagonal part sets the scaling, and the Taylor degree grows with L so
+    that block L is truncated at the same relative order as block 0.
 
     Times whose scaled steps agree bit for bit share one row: the Taylor
     phase runs once per row, the squaring passes square the row up to the
@@ -173,8 +174,7 @@ def _dd_blocks(
                 ks, rs = taps.setdefault(s, ([], []))
                 ks.append(k)
                 rs.append(r)
-        diag = step[deepest, None] * centered
-        passes = _centered_blocks(diag, step[deepest], squarings[deepest], g, L)
+        passes = _centered_blocks(step[deepest], centered, squarings[deepest], g, L)
         for done, blocks in enumerate(passes):
             if done in taps:
                 ks, rs = taps[done]
@@ -194,69 +194,70 @@ def _slots(idx: list[int]) -> slice | NDArray[np.intp]:
 
 
 def _taylor(
-    diag: NDArray[np.complex128], step: NDArray[np.complex128], g: NDArray[np.complex128], L: int
+    step: NDArray[np.complex128], centered: NDArray[np.float64], g: NDArray[np.complex128], L: int
 ) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Taylor polynomial of the scaled, mean-shifted block matrix, one row per step.
+    """Taylor polynomial of the mean-shifted block matrix B times each step.
 
-    ``diag[r]`` is the scaled centered diagonal and ``step[r]`` the scaled
-    coupling factor of row r.  Returns block 0 of the first block row as a
-    vector (rows, N) and blocks 1..L as an (L, rows, N, N) array.  A Taylor
-    step updates all L blocks with a fixed number of whole-array operations,
-    whatever L is.  Each entry still goes through the same floating-point
-    operations, in the same order, as under a loop over the orders
-    (`tests/test_dd_blocks.py` holds the two equal bit for bit).
+    B has first block row (diag(centered), g).  Row r is the degree-(13 + L)
+    polynomial of ``step[r] * B``: block 0 of its first block row as a
+    vector (rows, N) and blocks 1..L as an (L, rows, N, N) array.  Horner's
+    rule runs in coefficient form, X <- X B + (step^j / j!) I: per step one
+    GEMM against g and one scaling by the energies for all orders, and no
+    division.  Each entry sees the same floating-point operations, in the
+    same order, as under a loop over the orders (`tests/test_dd_blocks.py`).
     """
-    rows, n = diag.shape
+    # Steps over, and B times, a power of two above the largest (within
+    # 2^+-1000): exact, and the coefficients stay below 1 in any units.
+    unit = ldexp(1.0, min(max(frexp(float(np.max(np.abs(step))))[1], -1000), 1000))
+    step, centered = (step.view(np.float64) / unit).view(np.complex128), unit * centered
+    g = (unit * np.ascontiguousarray(g).view(np.float64)).view(np.complex128)
+    rows, n, degree = step.shape[0], centered.shape[0], _TAYLOR_ORDER + L
+    factorials = np.array([float(factorial(j)) for j in range(degree + 1)])[:, None, None]
+    # The coefficients and energies spread to the shapes they update, so
+    # those updates run as flat loops: broadcasting costs a few us a call.
+    coef = np.repeat(step[:, None] ** np.arange(degree + 1)[:, None, None] / factorials, n, axis=2)
     upper = np.zeros((L, rows, n, n), dtype=np.complex128)
     below = np.empty_like(upper)
-    # diag and step spread over each N x N block, so the per-step products
-    # run as flat loops over the block array.
-    cols = np.broadcast_to(diag[:, None, :], (rows, n, n)).copy()
-    steps = np.broadcast_to(step[:, None, None], (rows, n, n)).copy()
-    r0 = np.ones((rows, n), dtype=np.complex128)
-
-    # Horner form of the truncated Taylor series of the scaled matrix, whose
-    # first block row is (diag(diag), step * g): new block l is
-    # (old block l * diag + step * old block l - 1 @ g) / k.
-    for k in range(_TAYLOR_ORDER + L, 0, -1):
-        np.multiply(r0[:, :, None], g, out=below[:1])
-        np.matmul(upper[:-1].reshape(-1, n), g, out=below[1:].reshape(-1, n))
+    cols = np.broadcast_to(centered.astype(np.complex128), upper.shape).copy()
+    diag, r0 = np.broadcast_to(centered.astype(np.complex128), (rows, n)).copy(), coef[degree].copy()
+    column, head = r0[:, :, None], below[:1]
+    lower, shifted = upper[:-1].reshape(-1, n), below[1:].reshape(-1, n)
+    # Block l of X B is upper_{l-1} @ g + upper_l centered, block 0 being r0.
+    for c in coef[degree - 1 :: -1]:
+        np.multiply(column, g, out=head)
+        np.matmul(lower, g, out=shifted)
         upper *= cols
-        below *= steps
         upper += below
-        upper /= k
-        r0 = 1.0 + r0 * diag / k
+        r0 *= diag
+        r0 += c
     return r0, upper
 
 
 def _centered_blocks(
-    diag: NDArray[np.complex128],
     step: NDArray[np.complex128],
+    centered: NDArray[np.float64],
     depth: NDArray[np.int64],
     g: NDArray[np.complex128],
     L: int,
 ) -> Iterator[NDArray[np.complex128]]:
     """Blocks 1..L of the first block row of the mean-shifted exponential.
 
-    One chunk of rows, sorted by squaring depth: ``diag[r]`` and ``step[r]``
-    are as in `_taylor`, and row r is squared ``depth[r]`` times, in place.
-    Each pass works on the trailing slice of rows still short of their
-    depth.  Yields the (L, rows, N, N) block array before the first pass and
-    after every pass: after pass p, every row of depth p or more holds p
-    squarings.  A squaring adds its block products with one batched product
-    per left factor, in the order of the per-order loop.
+    One chunk of rows, sorted by squaring depth: row r is `_taylor`'s
+    polynomial of ``step[r]`` times the block matrix, squared ``depth[r]``
+    times, in place.  Each pass works on the trailing slice of rows still
+    short of their depth.  Yields the (L, rows, N, N) block array before the
+    first pass and after every pass: after pass p, every row of depth p or
+    more holds p squarings.  A squaring adds its block products with one
+    batched product per left factor, in the order of the per-order loop.
     """
-    r0, upper = _taylor(diag, step, g, L)
-    acc = np.empty_like(upper)
-    prod = np.empty_like(upper)
+    r0, upper = _taylor(step, centered, g, L)
+    acc, prod = np.empty_like(upper), np.empty_like(upper)
     yield upper
     for first in np.searchsorted(depth, np.arange(depth[-1]), side="right"):
         a0, blocks, square, part = r0[first:], upper[:, first:], acc[:, first:], prod[:, first:]
-        # Block l of the square is a0 r_l + r_l a0 + sum_{i=1}^{l-1} r_i @ r_{l-i},
-        # the products added in increasing i.
-        np.multiply(a0[:, :, None], blocks, out=square)
-        np.multiply(blocks, a0[:, None, :], out=part)
-        square += part
+        # Block l of the square is a0 r_l + r_l a0 = r_l * (a0_a + a0_b) plus
+        # sum_{i=1}^{l-1} r_i @ r_{l-i}, the products added in increasing i.
+        np.multiply(blocks, a0[:, :, None] + a0[:, None, :], out=square)
         for i in range(1, L):
             np.matmul(blocks[i - 1], blocks[: L - i], out=part[: L - i])
             square[i:] += part[: L - i]
