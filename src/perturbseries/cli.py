@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import re
 import sys
@@ -56,6 +55,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
+from .ddkernel import _finite_time
 from .improved import (
     GoldenRuleInput,
     golden_rule,
@@ -449,8 +449,7 @@ def run(config: RunConfig) -> int:
         raise ValueError(f"command {config.command!r} requires an output path")
     times = {"--t-start": config.t_start, "--t-end": config.t_end, "--time": config.time}
     for flag, value in times.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be a finite number, got {value!r}")
+        _finite_time(value, flag)
     settings, columns, rows = runner(config)
     lines = [f"# perturbseries {__version__}", f"# command: {config.command}"]
     lines += [f"# {key}: {settings[key]}" for key in sorted(settings)]

@@ -15,7 +15,10 @@ yields all confluent limits for free, with no branching on node gaps.
 A mean-shift is applied first (f factors into a scalar phase times the
 exponential of the centered matrix), which keeps the scaled norm small.
 
-`_dd_value` runs a stack of node sets at once.  `_dd_blocks` is the form
+`_dd_value` runs a stack of node sets at once.  It never forms the
+bidiagonal matrix: a Taylor step in coefficient form scales rows by the
+nodes, adds each row's neighbour and adds the coefficient on the diagonal,
+three elementwise updates and no matrix product.  `_dd_blocks` is the form
 the series uses: the divided differences over every index path through a
 set of levels, weighted by the coupling products along the path and
 summed, for all orders up to L and a grid of times at once: the same
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import factorial, frexp, ldexp
+from math import factorial, frexp, isfinite, ldexp
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,12 +46,25 @@ __all__ = ["NodeList", "dd_exp"]
 _TAYLOR_ORDER = 13
 _SCALE_LIMIT = 0.5
 
+#: 1/k! for k = 0..178, the first k at which it rounds to 0.0: the
+#: coefficients of `_dd_value`'s Taylor polynomial.  A higher degree would
+#: only add zero coefficients.
+_INV_FACTORIALS = tuple(1 / factorial(k) for k in range(179))
+
 #: Bytes of block array that `_dd_blocks` carries per chunk of rows (one
 #: row per distinct scaled step).  The chunk's block-sized buffers then stay
 #: in a 2 MB L2 cache; with all 101 times in one chunk, the whole-array
 #: updates ran about 10% slower than per-order updates at N = 12 and about
 #: 20% slower at N = 48.
 _CHUNK_BYTES = 1 << 19
+
+
+def _finite_time(t: float, name: str = "t") -> float:
+    """``t`` as a float; a time that is not finite is refused."""
+    value = float(t)
+    if not isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {t!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,7 +82,7 @@ class NodeList:
             raise ValueError("nodes contain non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "nodes", arr)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _finite_time(self.t))
 
     @property
     def order(self) -> int:
@@ -77,31 +93,51 @@ class NodeList:
 def _dd_value(nodes: NDArray[np.float64], t: float) -> NDArray[np.complex128]:
     """Divided differences of e^{-i*x*t} over each row of nodes (K, m), shape (K,).
 
-    Each row is the phase of its mean times entry (1, m) of the exponential
-    of its centered bidiagonal matrix.  The matrices run as one stack sorted
-    by squaring count, so each squaring pass works on a trailing slice.
+    Each row is the phase of its mean times entry (m, 1) of the exponential
+    of its centered matrix, transposed to lower bidiagonal (the centered
+    nodes on the diagonal, ones below).  The matrices run as one stack
+    sorted by squaring count, so each squaring pass works on a trailing
+    slice.
+
+    The scaled matrix A = step (diag(centered) + subdiagonal ones), with
+    step = -i*t/2^s, is never formed: Horner's rule in coefficient form,
+    X <- A X + I/k!, scales the rows of X by step * centered, adds step
+    times each row's upper neighbour, and adds 1/k! on the diagonal.  In
+    this orientation the row shift moves whole contiguous rows.
     """
-    m = nodes.shape[1]
-    mu = nodes.mean(axis=1)
+    rows, m = nodes.shape
+    mu = nodes.sum(axis=1) / m
     centered = nodes - mu[:, None]
     phase = np.exp(-1j * mu * t)
-    a = -1j * t * (centered[:, :, None] * np.eye(m) + np.eye(m, k=1))
-    norm = np.max(np.sum(np.abs(a), axis=2), axis=1)
-    squarings = np.ceil(np.log2(np.maximum(norm / _SCALE_LIMIT, 1.0))).astype(np.int64)
+    # Infinity norm of the untransposed -i*t*(diag(centered) + superdiagonal
+    # ones): row i sums |t c_i| and, above the last row, |t|.
+    row_sums = np.abs(t * centered)
+    row_sums[:, :-1] += abs(t)
+    squarings = np.ceil(np.log2(np.maximum(row_sums.max(axis=1) / _SCALE_LIMIT, 1.0)))
     order = np.argsort(squarings, kind="stable")
-    a, squarings = a[order] / (2.0 ** squarings[order])[:, None, None], squarings[order]
+    squarings = squarings[order].astype(np.int64)
+    step = -1j * t / 2.0**squarings
 
-    # Horner form of the truncated Taylor series for exp(a).
-    eye = np.eye(m, dtype=np.complex128)
-    result = eye
-    for k in range(_TAYLOR_ORDER + max(0, m - 5), 0, -1):
-        result = eye + (a / k) @ result
+    # The row scalings and the subdiagonal spread to the shapes they
+    # update, so the updates run as flat loops.
+    scale = np.repeat((step[:, None] * centered[order])[:, :, None], m, axis=2)
+    lower = np.repeat(step, m * (m - 1)).reshape(rows, m - 1, m)
+    x = np.zeros((rows, m, m), dtype=np.complex128)
+    above, below, shifted = x[:, :-1], x[:, 1:], np.empty_like(lower)
+    diagonal = x.reshape(rows, m * m)[:, :: m + 1]
+    degree = min(_TAYLOR_ORDER + max(0, m - 5), len(_INV_FACTORIALS) - 1)
+    diagonal += _INV_FACTORIALS[degree]
+    for c in _INV_FACTORIALS[degree - 1 :: -1]:
+        np.multiply(above, lower, out=shifted)
+        x *= scale
+        below += shifted
+        diagonal += c
     for first in np.searchsorted(squarings, np.arange(squarings.max(initial=0)), side="right"):
-        result[first:] = result[first:] @ result[first:]
-    out = phase * result[np.argsort(order), 0, m - 1]
+        x[first:] = x[first:] @ x[first:]
+    out = phase * x[np.argsort(order), m - 1, 0]
     # All nodes equal: the confluent limit is the (m-1)-th derivative of the
     # phase function over (m-1)!.
-    equal = np.ptp(centered, axis=1) == 0.0
+    equal = centered.max(axis=1) == centered.min(axis=1)
     out[equal] = phase[equal] * (-1j * t) ** (m - 1) / factorial(m - 1)
     return out
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .ddkernel import _finite_time
 from .model import SplitSystem, _refuse_coupled_ties
 from .series import AmplitudeMatrix
 
@@ -405,7 +406,7 @@ def improved_amplitude(
         raise TypeError("order must be an integer")
     if not 0 <= order <= 3:
         raise ValueError("improved amplitudes are available for orders 0..3")
-    tt = float(t)
+    tt = _finite_time(t)
     values = _improved_sum_grid(sys, (int(order),), np.array([tt]), g_orders)[0]
     return AmplitudeMatrix(order=int(order), t=tt, values=values)
 
@@ -468,6 +469,7 @@ def improved_transition_probability(
     first-order result) and ``delta_p``, the difference written in the
     cosine form.  ``p_improved == p_usual + delta_p`` holds identically.
     """
+    duration = _finite_time(duration, "duration")
     return _transition_probabilities(sys, from_level, to_level, (duration,))[0]
 
 

@@ -20,6 +20,7 @@ from numpy.typing import NDArray
 # The kernel's batched entry point, bound to the name the scalar kernel had
 # here; perfbench/spans.py wraps ``series._dd_value`` as the ddkernel layer.
 from .ddkernel import _dd_blocks as _dd_value
+from .ddkernel import _finite_time
 from .model import SplitSystem
 
 __all__ = [
@@ -82,8 +83,9 @@ def amplitude_order(sys: SplitSystem, l: int, t: float) -> AmplitudeMatrix:
     product of coupling elements along the path.
     """
     _check_order(l)
-    values = _amplitude_blocks(sys, l, np.array([float(t)]))[l, 0]
-    return AmplitudeMatrix(order=l, t=float(t), values=values)
+    t = _finite_time(t)
+    values = _amplitude_blocks(sys, l, np.array([t]))[l, 0]
+    return AmplitudeMatrix(order=l, t=t, values=values)
 
 
 def _truncated_sum_grid(

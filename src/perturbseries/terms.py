@@ -30,11 +30,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .ddkernel import _dd_value
+from .ddkernel import _dd_value, _finite_time
 from .improved import _ResidueTable
 from .model import SplitSystem, _refuse_coupled_ties
 
@@ -241,17 +242,49 @@ def enumerate_catalog(l: int) -> TermCatalog:
     return TermCatalog(order=l, labels=_load_fixture(l))
 
 
-def _label_positions(labels: tuple[TermLabel, ...], path: NDArray[np.intp]) -> NDArray[np.intp]:
-    """Position in ``labels`` of the label each path (a column) satisfies, or -1:
-    the one whose ``c``/``n`` pairs, as +1/-1, all agree with the path's."""
-    first, second = np.array(_pattern_pairs(labels[0].order)).T
+class _Matching(NamedTuple):
+    """How the labels of one request match paths, built once per request.
+
+    Row ``i`` of ``signs`` writes the ``i``-th distinct requested label (in
+    first-seen order) as its ``c``/``n``/``k`` pairs, read at path positions
+    ``first`` and ``second``, as +1/-1/0, and ``need`` counts its nonzeros.
+    ``take`` gives each requested label's row, and ``whole`` says whether
+    the distinct labels make up the catalog.
+    """
+
+    take: NDArray[np.intp]
+    whole: bool
+    first: NDArray[np.intp]
+    second: NDArray[np.intp]
+    signs: NDArray[np.int64]
+    need: NDArray[np.int64]
+
+    def positions(self, path: NDArray[np.intp]) -> NDArray[np.intp]:
+        """Row of the label each path (a column) satisfies, or -1: the one
+        whose +1/-1 pairs all agree with the path's."""
+        agree = self.signs @ np.where(path[self.first] == path[self.second], 1, -1)
+        hits = agree == self.need
+        return np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
+
+
+@lru_cache(maxsize=64)
+def _matching(labels: tuple[TermLabel, ...], catalog: TermCatalog) -> _Matching:
+    """The matching of labels of the catalog's order; refuses a label outside it."""
+    members = set(catalog.labels)
+    for lab in labels:
+        if lab not in members:
+            raise ValueError(f"label {lab.compact()!r} is not in the order-{catalog.order} catalog")
+    position = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+    first, second = np.array(_pattern_pairs(catalog.order)).T
     sign = {"c": 1, "n": -1, "k": 0}
-    wanted = np.array(
-        [[sign[ch] for ch in "".join(lab.groups).ljust(first.size, "k")] for lab in labels]
+    signs = np.array(
+        [[sign[ch] for ch in "".join(lab.groups).ljust(first.size, "k")] for lab in position]
     )
-    agree = wanted @ np.where(path[first] == path[second], 1, -1)
-    hits = agree == np.abs(wanted).sum(axis=1, keepdims=True)
-    return np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
+    take = np.array([position[lab] for lab in labels], dtype=np.intp)
+    need = np.abs(signs).sum(axis=1, keepdims=True)
+    for arr in (take, first, second, signs, need):
+        arr.setflags(write=False)  # every caller of the cached request shares them
+    return _Matching(take, len(position) == len(members), first, second, signs, need)
 
 
 def eval_closed_term(
@@ -275,40 +308,37 @@ def eval_closed_term(
     (l,) = orders
     if l > _EVAL_MAX:
         raise ValueError(f"per-term evaluation supports orders <= {_EVAL_MAX}, got {l}")
-    catalog = set(enumerate_catalog(l).labels)
-    for lab in labels:
-        if lab not in catalog:
-            raise ValueError(f"label {lab.compact()!r} is not in the order-{l} catalog")
+    match = _matching(labels, enumerate_catalog(l))
     n = sys.dimension
     for name, idx in (("gamma", gamma), ("gamma_prime", gamma_prime)):
         if not 0 <= idx < n:
             raise ValueError(f"{name} {idx} outside 0..{n - 1}")
-    position = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+    t = _finite_time(t)
 
     path = np.empty((l + 1, n ** (l - 1)), dtype=np.intp)
     path[0], path[1:l], path[l] = gamma, np.indices((n,) * (l - 1)).reshape(l - 1, -1), gamma_prime
     product = sys.g[path[0], path[1]]
     for step in range(1, l):
         product = product * sys.g[path[step], path[step + 1]]
-    which = _label_positions(tuple(position), path)
+    which = match.positions(path)
     stray = (product != 0.0) & (which < 0)
-    if len(position) == len(catalog) and stray.any():
+    if match.whole and stray.any():
         raise ValueError(f"path {path[:, np.argmax(stray)].tolist()} matches no order-{l} label")
     keep = (product != 0.0) & (which >= 0)
-    values = np.zeros(len(position), dtype=np.complex128)
+    values = np.zeros(match.signs.shape[0], dtype=np.complex128)
     if keep.any():
         path, product, which = path[:, keep], product[keep], which[keep]
         nodes = np.sort(sys.energies_redivided[path], axis=0).T
         if nodes.shape[0] < 8:  # too few paths for finding repeats to pay
-            dd = _dd_value(nodes, float(t))
+            dd = _dd_value(nodes, t)
         else:
             key = np.ravel_multi_index(np.sort(path[1:l], axis=0), (n,) * (l - 1))
             _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            dd = _dd_value(nodes[first], float(t))[inverse]
+            dd = _dd_value(nodes[first], t)[inverse]
         np.add.at(values, which, product * dd)
     if isinstance(label, TermLabel):
         return complex(values[0])
-    return values[[position[lab] for lab in labels]]
+    return values[match.take]
 
 
 def split_t_power_parts(
@@ -335,7 +365,7 @@ def split_t_power_parts(
         raise ValueError(f"t-power split supports orders 2..{_EVAL_MAX}, got {l}")
     energies = np.asarray(sys.energies_redivided, dtype=np.float64)
     g = np.asarray(sys.g, dtype=np.complex128)
-    t = float(t)
+    t = _finite_time(t)
     if l >= 3:
         _refuse_coupled_ties(
             energies, g, 1, diagonal=True, why=f"; the order-{l} split would need t-powers above 2"

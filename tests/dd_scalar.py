@@ -40,13 +40,22 @@ def _dd_value(nodes: NDArray[np.float64], t: float) -> complex:
     squarings = 0
     if norm > _SCALE_LIMIT:
         squarings = int(np.ceil(np.log2(norm / _SCALE_LIMIT)))
-        a /= 2.0**squarings
 
-    # Horner form of the truncated Taylor series for exp(a).
-    eye = np.eye(m, dtype=np.complex128)
-    result = eye.copy()
-    for k in range(_TAYLOR_ORDER + max(0, m - 5), 0, -1):
-        result = eye + (a / k) @ result
+    # Horner's rule in coefficient form, X <- A X + I/k!, on the scaled
+    # transpose A = a.T / 2^squarings, lower bidiagonal: each step scales
+    # row j by A's diagonal entry j, adds A's subdiagonal entry times row
+    # j - 1, and adds 1/k! on the diagonal.  The divided difference is entry
+    # (m, 1) of the transposed exponential.
+    step = -1j * t / 2.0**squarings
+    scaled = step * centered
+    degree = _TAYLOR_ORDER + max(0, m - 5)
+    x = np.zeros((m, m), dtype=np.complex128)
+    x[idx, idx] = 1 / factorial(degree)
+    for k in range(degree - 1, -1, -1):
+        shifted = x[:-1] * step
+        x = x * scaled[:, None]
+        x[1:] += shifted
+        x[idx, idx] += 1 / factorial(k)
     for _ in range(squarings):
-        result = result @ result
-    return phase * complex(result[0, m - 1])
+        x = x @ x
+    return phase * complex(x[m - 1, 0])

@@ -1,0 +1,122 @@
+"""Time the divided-difference kernel and the per-term pass of two checkouts.
+
+Usage, from the root of a checkout:
+
+    python tests/kernel_timing.py SRC_A SRC_B
+
+Imports ``perturbseries`` from the directory SRC_A and again from SRC_B, so
+both run side by side in one process, and times in rounds that alternate
+which side goes first:
+
+- ``ddkernel._dd_value`` on stacks of K = 1, 35 and 2,600 sets of five
+  nodes (sorted draws, with repeats, of five levels 0.5 apart: the order-4
+  paths of a benchmark ``terms`` job), and ``dd_exp`` on one of those sets;
+- ``terms.eval_closed_term`` for all 15 order-4 terms of the level pair
+  (0, 1), on N = 5, 8, 12, 24 and 48 levels 0.2 apart with a dense
+  coupling of spectral norm 0.1.
+
+For each case it prints the fastest and the median round of each side in
+milliseconds, the rounds in which SRC_B was faster, and the largest
+difference of SRC_B's values from SRC_A's relative to SRC_A's largest value.
+The last line is the same table as JSON.  One BLAS thread, as in the
+benchmark's worker.  Not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import importlib  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROUNDS = 15
+#: Each round of a case runs it back to back for at least this long.
+ROUND_S = 0.02
+T = 2.5
+
+
+def load(src: Path) -> SimpleNamespace:
+    """The modules of ``perturbseries`` imported afresh from ``src``."""
+    for name in [m for m in sys.modules if m == "perturbseries" or m.startswith("perturbseries.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        names = ("ddkernel", "model", "terms")
+        return SimpleNamespace(**{n: importlib.import_module(f"perturbseries.{n}") for n in names})
+    finally:
+        sys.path.remove(str(src))
+
+
+def cases(pkg: SimpleNamespace) -> dict[str, object]:
+    """Each case as a call without arguments that returns its values."""
+    rng = np.random.default_rng(24)
+    levels = 0.5 * np.arange(5) + rng.uniform(-0.05, 0.05, size=5)
+    out: dict[str, object] = {}
+    for k in (1, 35, 2600):
+        nodes = np.sort(levels[rng.integers(0, 5, size=(k, 5))], axis=1)
+        out[f"_dd_value K={k}"] = lambda nodes=nodes: pkg.ddkernel._dd_value(nodes, T)
+    row = np.sort(levels[rng.integers(0, 5, size=5)])
+    out["dd_exp one set"] = lambda: pkg.ddkernel.dd_exp(pkg.ddkernel.NodeList(row, T))
+    labels = pkg.terms.enumerate_catalog(4).labels
+    for n in (5, 8, 12, 24, 48):
+        energies = 0.2 * np.arange(n) + rng.uniform(-0.02, 0.02, size=n)
+        h1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h1 = h1 + h1.conj().T
+        np.fill_diagonal(h1, 0.0)
+        h1 *= 0.1 / np.linalg.norm(h1, 2)
+        system = pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
+        out[f"order-4 terms N={n}"] = (
+            lambda system=system: pkg.terms.eval_closed_term(system, labels, T, 0, 1)
+        )
+    return out
+
+
+def _round(call: object, number: int) -> float:
+    start = perf_counter()
+    for _ in range(number):
+        call()
+    return (perf_counter() - start) / number
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) != 2:
+        raise SystemExit(__doc__)
+    sides = [cases(load(Path(src).resolve())) for src in argv]
+    table = []
+    for name in sides[0]:
+        calls = [side[name] for side in sides]
+        values = [np.atleast_1d(call()) for call in calls]
+        scale = float(np.max(np.abs(values[0])))
+        number = max(1, int(ROUND_S / _round(calls[0], 1)))
+        times: list[list[float]] = [[], []]
+        for r in range(ROUNDS):
+            for s in (r % 2, 1 - r % 2):
+                times[s].append(_round(calls[s], number))
+        table.append({
+            "case": name,
+            "a_ms": {"min": 1e3 * min(times[0]), "median": 1e3 * statistics.median(times[0])},
+            "b_ms": {"min": 1e3 * min(times[1]), "median": 1e3 * statistics.median(times[1])},
+            "b_faster_rounds": f"{sum(b < a for a, b in zip(*times))}/{ROUNDS}",
+            "max_diff_rel": float(np.max(np.abs(values[1] - values[0]))) / scale,
+        })
+    print(f"{'case':<22}{'A min':>10}{'A median':>10}{'B min':>10}{'B median':>10}"
+          f"{'B faster':>10}{'max diff':>10}")
+    for e in table:
+        a, b = e["a_ms"], e["b_ms"]
+        print(f"{e['case']:<22}{a['min']:>10.4g}{a['median']:>10.4g}{b['min']:>10.4g}"
+              f"{b['median']:>10.4g}{e['b_faster_rounds']:>10}{e['max_diff_rel']:>10.2g}")
+    print(json.dumps(table))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -29,6 +29,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -77,10 +78,11 @@ def reports(src: Path) -> dict[str, bytes]:
 
 
 def _cells(text: bytes) -> tuple[list[str], list[str], list[list[str]]]:
-    """Header lines, column names and data rows of one report."""
+    """Header lines, column names and data rows of one report.  Rows are read
+    as CSV, since a quoted term label holds commas."""
     lines = text.decode("utf-8").splitlines()
     header = [line for line in lines if line.startswith("#")]
-    body = [line.split(",") for line in lines if not line.startswith("#")]
+    body = list(csv.reader(line for line in lines if not line.startswith("#")))
     return header, body[0], body[1:]
 
 

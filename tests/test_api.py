@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import importlib
+import math
 
 import pytest
 
 import perturbseries
+from perturbseries import (
+    NodeList,
+    amplitude_order,
+    enumerate_catalog,
+    eval_closed_term,
+    improved_amplitude,
+    improved_transition_probability,
+    split_t_power_parts,
+)
+
+from helpers import two_state
 
 PUBLIC = [
     "ExactSolution",
@@ -75,3 +87,22 @@ def test_submodule_names_are_pinned(module):
     assert mod.__all__ == SUBMODULES[module]
     for name in mod.__all__:
         assert hasattr(mod, name), name
+
+
+#: Every public route that takes one time, called at time ``t``.
+SINGLE_TIME_ROUTES = {
+    "NodeList": lambda sys, t: NodeList([0.0, 1.0], t),
+    "amplitude_order": lambda sys, t: amplitude_order(sys, 2, t),
+    "improved_amplitude": lambda sys, t: improved_amplitude(sys, 2, t),
+    "eval_closed_term": lambda sys, t: eval_closed_term(sys, enumerate_catalog(2).labels, t, 0, 1),
+    "split_t_power_parts": lambda sys, t: split_t_power_parts(sys, 2, t),
+    "improved_transition_probability": lambda sys, t: improved_transition_probability(sys, 0, 1, t),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", sorted(SINGLE_TIME_ROUTES))
+def test_single_time_routes_refuse_a_non_finite_time(route, t):
+    name = "duration" if route == "improved_transition_probability" else "t"
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {t!r}$"):
+        SINGLE_TIME_ROUTES[route](two_state(), t)

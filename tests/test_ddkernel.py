@@ -293,3 +293,55 @@ def test_stacked_kernel_against_mpmath(m):
             expected = _mp_divided_difference(row, t)
             scale = 1.0 + abs(t) * (1.0 + float(np.max(np.abs(row))))
             assert abs(value - expected) <= 1e-13 * scale * abs(expected), (row, t)
+
+
+def _squarings(nodes, t):
+    """The squaring count of each row, from the infinity norm of the full
+    matrix -i t (diag(centered) + superdiagonal ones)."""
+    out = []
+    for row in nodes:
+        centered = row - row.mean()
+        m = row.shape[0]
+        a = -1j * t * (np.diag(centered) + np.eye(m, k=1))
+        norm = np.max(np.sum(np.abs(a), axis=1))
+        out.append(int(np.ceil(np.log2(max(norm / 0.5, 1.0)))))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_empty_stack(m):
+    got = _dd_value(np.empty((0, m)), 1.5)
+    assert got.shape == (0,) and got.dtype == np.complex128
+
+
+def test_single_node_rows_are_the_phases():
+    nodes = np.array([[-3.0], [0.0], [0.7], [250.0]])
+    for t in (0.0, 1.3, -40.0):
+        assert np.array_equal(_dd_value(nodes, t), np.exp(-1j * nodes[:, 0] * t))
+
+
+@pytest.mark.parametrize("m", [2, 4, 5, 7])
+def test_stack_mixing_closed_forms_and_squaring_depths(m):
+    # All-equal rows (closed form) next to rows from no squaring up to many:
+    # every row must give the bits it gives alone, and the scalar kernel.
+    rng = np.random.default_rng(300 + m)
+    rows = [np.full(m, 1.25), np.full(m, -0.5)]
+    rows += [rng.uniform(-1.0, 1.0) + np.linspace(-w, w, m) for w in (1e-3, 0.6, 2.0, 6.0, 25.0, 200.0)]
+    nodes = rng.permutation(np.array(rows))
+    t = 0.3
+    assert len(set(_squarings(nodes, t))) >= 4
+    got = _dd_value(nodes, t)
+    alone = np.array([dd_exp(NodeList(row, t)) for row in nodes])
+    assert np.array_equal(got, alone)
+    ref = np.array([scalar_dd_value(row, t) for row in nodes])
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0])
+def test_zero_time_is_exact(t):
+    # f = 1 at t = 0: a single node gives 1 and every higher divided
+    # difference vanishes, exactly.
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3, 5, 8):
+        nodes = np.vstack([np.full(m, 0.3), np.sort(rng.uniform(-5.0, 5.0, size=(4, m)), axis=1)])
+        assert np.array_equal(_dd_value(nodes, t), np.full(5, 1.0 if m == 1 else 0.0))

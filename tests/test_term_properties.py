@@ -1,10 +1,12 @@
-"""Property test: the catalog labels partition the coupled paths.
+"""Property tests: the catalog labels partition the coupled paths.
 
 Each system draws three to six levels, may plant exact ties, and keeps
 every coupling link with a drawn probability, so many paths have a zero
 coupling product.  Every path with a nonzero product must satisfy the
 equality constraints of exactly one catalog label, and the one-pass term
-evaluation must file it under that label.
+evaluation must file it under that label.  A request's label matching is
+built once and reused, so a request of labels drawn with repeats, in any
+order, must give the per-label walk's values on every call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from perturbseries.terms import _label_positions, enumerate_catalog  # noqa: E402
+from perturbseries.terms import TermLabel, _matching, enumerate_catalog, eval_closed_term  # noqa: E402
+
+from helpers import planted_system  # noqa: E402
+from term_walk import _eval_term as walk_term  # noqa: E402
+
+#: Well-formed labels that no catalog holds (orders 3 and 4; every
+#: well-formed order-2 label is in the catalog).
+FOREIGN = {3: TermLabel(order=3, groups=("cc", "c")), 4: TermLabel(order=4, groups=("ccc", "cc"))}
 
 
 def _coupling(n: int, ties: int, link_probability: float, seed: int):
@@ -63,4 +72,27 @@ def test_every_coupled_path_has_exactly_one_label(g):
             ]
         )
         assert np.all(matches.sum(axis=0) == 1), order
-        assert np.array_equal(_label_positions(labels, path), np.argmax(matches, axis=0)), order
+        which = _matching(labels, enumerate_catalog(order)).positions(path)
+        assert np.array_equal(which, np.argmax(matches, axis=0)), order
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=couplings, order=st.integers(2, 4), data=st.data())
+def test_cached_label_matching_matches_the_walk(g, order, data):
+    n = g.shape[0]
+    levels = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    sys = planted_system(levels, g)
+    catalog = enumerate_catalog(order).labels
+    labels = data.draw(st.lists(st.sampled_from(catalog), min_size=1, max_size=2 * len(catalog)))
+    gamma, gamma_prime = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    t = data.draw(st.floats(-6.0, 6.0))
+    ref = np.array([walk_term(sys, label, t, gamma, gamma_prime) for label in labels])
+    bound = 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+    first = eval_closed_term(sys, labels, t, gamma, gamma_prime)
+    assert np.all(np.abs(first - ref) <= bound), (order, labels)
+    again = eval_closed_term(sys, labels, t, gamma, gamma_prime)
+    assert np.array_equal(again, first)
+    if order in FOREIGN:
+        assert FOREIGN[order] not in catalog
+        with pytest.raises(ValueError, match=f"not in the order-{order} catalog"):
+            eval_closed_term(sys, [*labels, FOREIGN[order]], t, gamma, gamma_prime)
