@@ -6,20 +6,20 @@ resummed into shifted level energies: each level picks up a hierarchy of
 real corrections, here called revision energies, and the low-order
 amplitudes are rewritten with the shifted energies in every exponent while
 keeping the original energy denominators.  This module computes the
-revision hierarchy through fifth order, and the perturbed states, from one
-Rayleigh-Schrodinger recursion for all levels at once; evaluates the
-rewritten amplitudes of orders zero through three from residue weights of
-the resolvent expansion (built once per system from one residue table,
-then one matrix product per time); and exposes the derived quantities that
-make the scheme useful: an improved two-level transition probability, a
-revised golden-rule transition rate for a tabulated continuum, and
-stationary perturbed energies/states.
+revision hierarchy through fifth order, the perturbed states and the
+weights of the rewritten amplitudes of orders zero through three from one
+Rayleigh-Schrodinger recursion for all levels at once, in Bloch's
+wave-operator form: a weight is a coefficient of the series of a perturbed
+eigenprojector, and each time then costs one matrix product.  It also
+exposes the derived quantities that make the scheme useful: an improved
+two-level transition probability, a revised golden-rule transition rate
+for a tabulated continuum, and stationary perturbed energies/states.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,8 +162,8 @@ def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     E^(j), for all levels at once from ``_rayleigh_schrodinger``: order two
     is the shift ``sum_i |g[gamma, i]|^2 / (E'_gamma - E'_i)``, and each
     higher order sums the closed coupling chains from gamma back to itself,
-    minus products of lower revisions.  E^(1) is taken as zero, as
-    redivision leaves it, so a kept diagonal coupling is refused.  All
+    minus products of lower revisions.  A diagonal coupling kept by
+    skipping redivision would give E^(1) and is refused.  All
     orders are real for a Hermitian coupling; the tiny imaginary round-off
     discarded is reported in ``imag_residual``.
     """
@@ -171,18 +171,27 @@ def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
         raise TypeError("max_order must be an integer")
     if not 2 <= max_order <= 5:
         raise ValueError("max_order must lie in 2..5")
-    energies = sys.energies_redivided
+    shifts, _ = _rayleigh_schrodinger(sys.energies_redivided, sys.g, max_order)
+    return _revisions(sys, shifts, max_order)
+
+
+def _revisions(
+    sys: SplitSystem, shifts: list[NDArray[np.complex128]], max_order: int
+) -> RevisionEnergies:
+    """The revisions of orders 2..max_order from ``_rayleigh_schrodinger``'s shifts.
+
+    Refused where an exact tie or a kept diagonal coupling makes them wrong.
+    """
     why = "; the fourth- and fifth-order revision sums would divide by zero" if max_order >= 4 else ""
     # An order-m chain visits only levels within m // 2 couplings of gamma.
-    _refuse_coupled_ties(energies, sys.g, max_order // 2, diagonal=True, why=why)
-    shifts, _ = _rayleigh_schrodinger(energies, sys.g, max_order)
-    revisions = [shifts[j].real if j <= max_order else np.zeros(sys.dimension) for j in range(2, 6)]
+    _refuse_coupled_ties(sys.energies_redivided, sys.g, max_order // 2, diagonal=True, why=why)
+    levels = [shift[: sys.dimension] for shift in shifts[: max_order + 1]]
     return RevisionEnergies(
-        energies,
+        sys.energies_redivided,
         sys.diagonal_shift,
-        *revisions,
+        *[levels[j].real if j <= max_order else np.zeros(sys.dimension) for j in range(2, 6)],
         max_order=int(max_order),
-        imag_residual=max(float(np.max(np.abs(v.imag))) for v in shifts[2:]),
+        imag_residual=max(float(np.max(np.abs(v.imag))) for v in levels[2:]),
     )
 
 
@@ -214,140 +223,120 @@ def _reduced_resolvents(e: NDArray[np.float64]) -> NDArray[np.float64]:
     return q
 
 
+def _tie_pattern(e: NDArray[np.float64]) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Rows and columns of the entries of a matrix block diagonal over the exact ties.
+
+    The N diagonal entries come first, then the ordered pairs of distinct,
+    exactly tied levels in row-major order.  A vector over these entries
+    holds such a matrix: E^(j), the overlap of the perturbed states and its
+    inverse.
+    """
+    a, b = np.nonzero(e[:, np.newaxis] == e)
+    first = np.argsort(a != b, kind="stable")
+    return a[first], b[first]
+
+
 def _rayleigh_schrodinger(
     e: NDArray[np.float64], g: NDArray[np.complex128], order: int
 ) -> tuple[list[NDArray[np.complex128]], list[NDArray[np.complex128]]]:
-    """Rayleigh-Schrodinger corrections of all levels, in intermediate normalisation.
+    """Rayleigh-Schrodinger corrections of all levels, in Bloch's wave-operator form.
 
-    ``shifts[j][k]`` is the energy correction E^(j) of level k (j <= order)
-    and column k of ``states[j]`` its state correction Psi_j (j < order):
-    Psi_0 = 1, E^(j) = diag(g Psi_{j-1}) and
-    Psi_j = q^T * (g Psi_{j-1} - sum_{i=2}^{j-1} E^(i) Psi_{j-i}), with q
-    from ``_reduced_resolvents``: one N x N product per order.  E^(0) and
-    E^(1) are zero, as redivision absorbs the diagonal of g (callers refuse
-    one that is kept).
+    Column k of ``states[j]`` is the state correction Psi_j of level k in
+    intermediate normalisation (j < order), and ``shifts[j]`` the order-j
+    effective Hamiltonian E^(j) = g Psi_{j-1} on ``_tie_pattern(e)`` (j <=
+    order): its first N entries are the energy corrections, the rest
+    couple exactly tied levels (C. Bloch, Nucl. Phys. 6, 329, 1958).
+    Psi_0 = 1 and Psi_j = q^T * (g Psi_{j-1} - sum_{i=1}^{j-1} Psi_{j-i} E^(i)),
+    with q from ``_reduced_resolvents``: one N x N product per order, the
+    last order's E^(j) an einsum.  E^(1) is the diagonal of g and its tied
+    pairs, zero after redivision.
     """
+    n = e.shape[0]
+    rows, cols = _tie_pattern(e)
+    a, b = rows[n:], cols[n:]
     qt = _reduced_resolvents(e).T
-    shifts = [np.zeros(e.shape, dtype=np.complex128)] * 2
-    states = [np.eye(e.shape[0], dtype=np.complex128), qt * g]
+    shifts = [np.zeros(rows.shape, dtype=np.complex128), g[rows, cols]]
+    states = [np.eye(n, dtype=np.complex128), qt * g]
     for j in range(2, order):
         product = g @ states[j - 1]
-        shifts.append(np.diagonal(product).copy())
-        for i in range(2, j):
-            product -= shifts[i] * states[j - i]
+        shifts.append(product[rows, cols])
+        for i in range(1, j):
+            product -= shifts[i][:n] * states[j - i]
+            if b.size:  # each tied pair (a, b) of E^(i) takes Psi_{j-i}[:, a] into column b
+                np.subtract.at(product, (slice(None), b), states[j - i][:, a] * shifts[i][n:])
         states.append(qt * product)
-    shifts.append(np.einsum("kl,lk->k", g, states[order - 1]))
+    shifts.append(np.einsum("pl,lp->p", g[rows], states[order - 1][:, cols]))
     return shifts, states
 
 
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of ``slots`` non-negative integers summing to ``total``, in lexicographic order."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first, *rest)
+def _projector_weights(
+    e: NDArray[np.float64],
+    shifts: list[NDArray[np.complex128]],
+    states: list[NDArray[np.complex128]],
+    top: int,
+    powers: int,
+) -> tuple[
+    NDArray[np.complex128], NDArray[np.complex128], NDArray[np.intp], list[list[NDArray[np.complex128]]]
+]:
+    """Stacked factors of the phase weights in the amplitudes of orders 0..top.
 
+    The exact propagator sums exp(-i H t) P over the tie groups, P the
+    projector on a group's perturbed states.  With the wave operator
+    Omega = sum_j Psi_j, P = Omega S Omega^H for S the inverse of the
+    overlap Omega^H Omega on the tie blocks, and H Omega = Omega (E' + delta)
+    with delta = sum_j E^(j) (Kato 1966, Ch. II §2).  So the weight of
+    (-i t)^p exp(-i E'_k t) in order l sums Psi_i M Psi_j^H / p! over
+    i + j + m = l, M the order-m part of delta^p S.
 
-class _ResidueTable:
-    """Rank-one factors of the Laurent coefficients of the resolvent products.
-
-    ``factors(order, power)`` holds the u^-(power+1) Laurent coefficient at
-    z = E'_k of R (g R)^order, with R = diag(1/(z - E')) and u = z - E'_k;
-    divided by power!, it is the weight of (-i t)^power exp(-i E'_k t) in
-    the order-``order`` amplitude (power 0 gives the residue).  Near E'_k,
-    R = P_k / u + sum_{p>=1} (-u)^(p-1) Q_k^p, where P_k projects on level
-    k and Q_k = diag(1/(E'_k - E'_j)), zero wherever E'_j = E'_k (Kato's
-    reduced-resolvent expansion).  The coefficient sums the products of
-    one Laurent term per R slot whose u-powers add up to -(power+1): in
-    slot powers p_i = (u-power + 1), the compositions of
-    ``order - power`` into ``order + 1`` slots, where p_i = 0 selects P_k.
-
-    Every such product is rank one in each k: the slots before the first
-    P_k give a column C[:, k] and the slots from the first P_k on give a
-    row R[k, :].  Between consecutive poles the pole of a tie group
-    projects on every level of the group, so each closed loop is a vector
-    over the tied pairs: its diagonal and the pairs of distinct, exactly
-    tied levels.  Columns, rows, loops and pole suffixes are memoized by
-    their slot powers, so one table formed for several orders or powers
-    forms each matrix product once.
+    Returns, for the K pairs i + j <= top, ``columns`` (N, K P), the Psi_i
+    at the pattern's rows, and ``rows`` (K P, N), the Psi_j^H at its
+    columns; ``levels``, the level whose phase each stacked column carries;
+    and ``weights[p][l]``, each pair's M for order l and power p < ``powers``.
+    For level phases phi, (columns * (phi[levels] * weights[p][l])) @ rows
+    is p! times the coefficient of (-i t)^p in order l.  Block-diagonal
+    matrices stay vectors over the pattern: no N x N product is formed here.
     """
+    rows, cols = _tie_pattern(e)
+    size = rows.shape[0]
+    # Block products: entry x = (r, c) times entry y = (c, s) adds to z = (r, s).
+    x, y = np.nonzero(cols[:, np.newaxis] == rows)
+    where = np.zeros((e.shape[0],) * 2, dtype=np.intp)
+    where[rows, cols] = np.arange(size)
+    z = where[rows[x], cols[y]]
 
-    def __init__(self, e: NDArray[np.float64], g: NDArray[np.complex128]) -> None:
-        self._g = g
-        self._q = _reduced_resolvents(e)
-        n = e.shape[0]
-        self._tied = np.nonzero((e[:, np.newaxis] == e[np.newaxis, :]) & ~np.eye(n, dtype=bool))
-        self._slots: dict[int, NDArray[np.float64]] = {}
-        eye = np.eye(n, dtype=np.complex128)
-        self._columns: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
-        self._rows: dict[tuple[int, ...], NDArray[np.complex128]] = {(): eye}
-        self._loops: dict[tuple[int, ...], tuple[NDArray[np.complex128], ...]] = {}
-        self._suffixes: dict[tuple[int, ...], NDArray[np.complex128]] = {}
+    def convolve(
+        a: list[NDArray[np.complex128]], b: list[NDArray[np.complex128]], m: int
+    ) -> NDArray[np.complex128]:
+        # sum_{k=1}^m a_k b_{m-k}, products of block-diagonal matrices.
+        out = np.zeros(size, dtype=np.complex128)
+        for k in range(1, m + 1):
+            np.add.at(out, z, a[k][x] * b[m - k][y])
+        return out
 
-    def _slot(self, p: int) -> NDArray[np.float64]:
-        # Slot factor of power p for level k, indexed [k, j].
-        if p not in self._slots:
-            self._slots[p] = (-1.0) ** (p - 1) * self._q**p
-        return self._slots[p]
-
-    def _column(self, powers: tuple[int, ...]) -> NDArray[np.complex128]:
-        # (D_p0 g D_p1 g ... D_pm g)[:, k] for every k at once.
-        if powers not in self._columns:
-            rest = powers[1:]
-            right = self._g @ self._column(rest) if rest else self._g
-            self._columns[powers] = self._slot(powers[0]).T * right
-        return self._columns[powers]
-
-    def _row(self, powers: tuple[int, ...]) -> NDArray[np.complex128]:
-        # (g D_p0 g D_p1 ... g D_pm)[k, :] for every k at once.
-        if powers not in self._rows:
-            head = powers[:-1]
-            left = self._row(head) @ self._g if head else self._g
-            self._rows[powers] = left * self._slot(powers[-1])
-        return self._rows[powers]
-
-    def _loop(self, powers: tuple[int, ...]) -> tuple[NDArray[np.complex128], ...]:
-        # (g D_p0 ... g D_pm g)[k, k'] for tied k, k': the diagonal, then the tied pairs.
-        if powers not in self._loops:
-            row, (a, b) = self._row(powers), self._tied
-            self._loops[powers] = (
-                np.einsum("kj,jk->k", row, self._g),
-                np.einsum("pj,jp->p", row[a], self._g[:, b]),
-            )
-        return self._loops[powers]
-
-    def _suffix(self, powers: tuple[int, ...]) -> NDArray[np.complex128]:
-        # The row of the slots from a pole (powers[0] == 0) on, every loop applied.
-        if powers not in self._suffixes:
-            rest = powers[1:]
-            if 0 not in rest:
-                self._suffixes[powers] = self._row(rest)
-            else:
-                pole = rest.index(0)
-                diagonal, pairs = self._loop(rest[:pole])
-                right = self._suffix(rest[pole:])
-                a, b = self._tied
-                out = diagonal[:, np.newaxis] * right
-                np.add.at(out, a, pairs[:, np.newaxis] * right[b])
-                self._suffixes[powers] = out
-        return self._suffixes[powers]
-
-    def factors(
-        self, order: int, power: int = 0
-    ) -> tuple[list[NDArray[np.complex128]], list[NDArray[np.complex128]]]:
-        """Columns C_K and rows R_K, summed over the products that share a column.
-
-        The coefficient matrix for phases phi is sum_K (C_K * phi) @ R_K,
-        one product once the blocks are stacked.
-        """
-        summed: dict[tuple[int, ...], NDArray[np.complex128]] = {}
-        for powers in _compositions(order - power, order + 1):
-            pole = powers.index(0)
-            left, right = powers[:pole], self._suffix(powers[pole:])
-            summed[left] = summed[left] + right if left in summed else right
-        return [self._column(left) for left in summed], list(summed.values())
+    left = [psi[:, rows] for psi in states[: top + 1]]
+    right = [psi[:, cols].conj() for psi in states[: top + 1]]
+    overlap = [
+        sum(np.einsum("rx,rx->x", left[i], right[m - i]) for i in range(m + 1)).conj()
+        for m in range(top + 1)
+    ]
+    inverse = overlap[:1]  # S, from O S = 1
+    for m in range(1, top + 1):
+        inverse.append(-convolve(overlap, inverse, m))
+    series = [inverse]  # delta^p S for p = 0, 1, ...
+    for _ in range(1, powers):
+        series.append([convolve(shifts, series[-1], m) for m in range(top + 1)])
+    zero = np.zeros(size, dtype=np.complex128)
+    pairs = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
+    weights = [
+        [np.concatenate([s[l - i - j] if i + j <= l else zero for i, j in pairs]) for l in range(top + 1)]
+        for s in series
+    ]
+    return (
+        np.concatenate([left[i] for i, _ in pairs], axis=1),
+        np.concatenate([right[j].T for _, j in pairs]),
+        np.tile(rows, len(pairs)),
+        weights,
+    )
 
 
 def _improved_sum_grid(
@@ -358,28 +347,27 @@ def _improved_sum_grid(
 ) -> NDArray[np.complex128]:
     """Sum of the improved amplitudes of the given orders, shape (T, n, n).
 
-    The revisions are computed once, at the deepest order any amplitude
-    order absorbs, and the residue weights of every order from one residue
-    table; each time then costs one matrix product.
+    One ``_rayleigh_schrodinger`` call, at the deepest order any revision or
+    amplitude needs, gives the revisions and the phase weights of every
+    order (``_projector_weights``); each time then costs one matrix product.
     """
     chosen = [_resolve_g_orders(l, g_orders) for l in orders]
     e = sys.energies_redivided
+    top = max(orders)
     deepest = max((max(c) for c in chosen if c), default=0)
-    revisions = revision_energies(sys, deepest) if deepest else None
+    # Order 2 at least: an order-1 call would file diag(g) as E^(2).
+    shifts, states = _rayleigh_schrodinger(e, sys.g, max(deepest, top + 1, 2))
+    revisions = _revisions(sys, shifts, deepest) if deepest else None
     # Phases and revisions are per level, so no tie may sit on an amplitude's chain.
-    _refuse_coupled_ties(e, sys.g, max(orders), diagonal=max(orders) >= 2)
-    table = _ResidueTable(e, sys.g)
-    columns, rows, shifted = [], [], []
-    for l, c in zip(orders, chosen):
-        col, row = table.factors(l)
-        columns += col
-        rows += row
-        shifted += [revisions.e_tilde(c) if c else e] * len(col)
-    columns_all, rows_all = np.concatenate(columns, axis=1), np.concatenate(rows)
-    energies_all = np.concatenate(shifted)
+    _refuse_coupled_ties(e, sys.g, top, diagonal=top >= 2)
+    columns, rows, levels, weights = _projector_weights(e, shifts, states, top, 1)
+    phases = sum(
+        weights[0][l] * np.exp(-1j * np.outer(ts, revisions.e_tilde(c) if c else e))[:, levels]
+        for l, c in zip(orders, chosen)
+    )
     out = np.empty((len(ts), e.shape[0], e.shape[0]), dtype=np.complex128)
-    for i, t in enumerate(ts):
-        out[i] = (columns_all * np.exp(-1j * energies_all * float(t))) @ rows_all
+    for i, phase in enumerate(phases):
+        out[i] = (columns * phase) @ rows
     return out
 
 
@@ -394,8 +382,8 @@ def improved_amplitude(
 
     The rewritten forms replace every oscillatory exponent by the shifted
     energies while the algebraic denominators keep the plain redivided
-    energies: the weight of each shifted phase is a residue of the
-    order-``order`` resolvent product (see ``_ResidueTable``).  By
+    energies: the weight of each shifted phase is the order-``order`` part
+    of the level's perturbed eigenprojector (see ``_projector_weights``).  By
     default each amplitude order absorbs the revision orders it can
     support: order 0 uses revisions 2-5, order 1 uses 2-4, order 2 uses
     2-3 and order 3 uses only 2.  Pass ``g_orders`` to override (an empty

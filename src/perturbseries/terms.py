@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ddkernel import _dd_value, _finite_time
-from .improved import _ResidueTable
+from .improved import _projector_weights, _rayleigh_schrodinger
 from .model import SplitSystem, _refuse_coupled_ties
 
 __all__ = [
@@ -351,15 +351,18 @@ def split_t_power_parts(
     ``"D"`` (diagonal entries) or ``"N"`` (off-diagonal entries).  The six
     matrices sum to the order-l amplitude matrix.
 
-    The part of power p holds, for each pole E'_k, the u^-(p+1) Laurent
-    coefficient of the resolvent product divided by p! (see
-    ``improved._ResidueTable``); exactly tied levels share one pole.
-    These coefficients grow like gap^-(l-p) as two coupled levels close
-    in, and cancel in the total: near-confluent coupled levels give large
-    parts with a small sum, and the round-off of every part scales with
-    the parts, not with the amplitude.  From order 3 on, a tie coupled
-    directly (or a diagonal coupling left by skipping redivision) would
-    need t-powers above 2 and is refused.
+    The part of power p holds, for each level k, the weight of
+    (-i t)^p exp(-i E'_k t): the order-l part of P_k delta_k^p / p!, with
+    P_k the perturbed eigenprojector and delta_k the level's energy shift,
+    both from one Rayleigh-Schrodinger (Bloch) recursion (see
+    ``improved._projector_weights``); exactly tied levels share one
+    projector and one block of shifts.  These weights grow like
+    gap^-(l-p) as two coupled levels close in, and cancel in the total:
+    near-confluent coupled levels give large parts with a small sum, and
+    the round-off of every part scales with the parts, not with the
+    amplitude.  From order 3 on, a tie coupled directly (or a diagonal
+    coupling left by skipping redivision) would need t-powers above 2 and
+    is refused.
     """
     if not 2 <= l <= _EVAL_MAX:
         raise ValueError(f"t-power split supports orders 2..{_EVAL_MAX}, got {l}")
@@ -371,13 +374,13 @@ def split_t_power_parts(
             energies, g, 1, diagonal=True, why=f"; the order-{l} split would need t-powers above 2"
         )
     diagonal = np.eye(sys.dimension, dtype=bool)
-    table = _ResidueTable(energies, g)
+    shifts, states = _rayleigh_schrodinger(energies, g, l + 1)
+    columns, rows, levels, weights = _projector_weights(energies, shifts, states, l, 3)
+    phases = np.exp(-1j * energies * t)[levels]
     out: dict[tuple[str, str], NDArray[np.complex128]] = {}
     for power, name in enumerate(("e", "te", "t2e")):
-        columns, rows = table.factors(l, power)
-        phases = np.exp(-1j * energies * t) * (-1j * t) ** power / math.factorial(power)
-        stacked = np.concatenate(columns, axis=1) * np.tile(phases, len(columns))
-        part = stacked @ np.concatenate(rows)
+        scale = (-1j * t) ** power / math.factorial(power)
+        part = (columns * (phases * scale * weights[power][l])) @ rows
         out[(name, "D")] = np.where(diagonal, part, 0.0)
         out[(name, "N")] = np.where(diagonal, 0.0, part)
     return out

@@ -1,4 +1,5 @@
-"""Time the divided-difference kernel and the per-term pass of two checkouts.
+"""Time the divided-difference kernel, the per-term pass, the improved amplitudes
+and the t-power split of two checkouts.
 
 Usage, from the root of a checkout:
 
@@ -13,7 +14,13 @@ which side goes first:
   paths of a benchmark ``terms`` job), and ``dd_exp`` on one of those sets;
 - ``terms.eval_closed_term`` for all 15 order-4 terms of the level pair
   (0, 1), on N = 5, 8, 12, 24 and 48 levels 0.2 apart with a dense
-  coupling of spectral norm 0.1.
+  coupling of spectral norm 0.1;
+- ``improved._improved_sum_grid`` for orders 0-3 with the default
+  revisions, and the whole ``compare --order 3`` report through
+  ``cli.main``, on nearest-neighbour chains of N = 12, 24 and 40 levels
+  0.1 apart (0.02 jitter, hopping 0.005), at 2 and 101 times in [20, 40];
+- ``terms.split_t_power_parts`` at order 4 on N = 8 and 12 levels 0.2
+  apart with a dense coupling of spectral norm 0.1.
 
 For each case it prints the fastest and the median round of each side in
 milliseconds, the rounds in which SRC_B was faster, and the largest
@@ -31,8 +38,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
 
 import importlib  # noqa: E402
 import json  # noqa: E402
+import shutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
@@ -51,13 +60,39 @@ def load(src: Path) -> SimpleNamespace:
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
-        names = ("ddkernel", "model", "terms")
+        names = ("cli", "ddkernel", "improved", "model", "terms")
         return SimpleNamespace(**{n: importlib.import_module(f"perturbseries.{n}") for n in names})
     finally:
         sys.path.remove(str(src))
 
 
-def cases(pkg: SimpleNamespace) -> dict[str, object]:
+def _dense_system(pkg: SimpleNamespace, rng: np.random.Generator, n: int) -> object:
+    """N levels 0.2 apart (0.02 jitter) with a dense coupling of spectral norm 0.1."""
+    energies = 0.2 * np.arange(n) + rng.uniform(-0.02, 0.02, size=n)
+    h1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h1 = h1 + h1.conj().T
+    np.fill_diagonal(h1, 0.0)
+    h1 *= 0.1 / np.linalg.norm(h1, 2)
+    return pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
+
+
+def _chain(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels 0.1 apart (0.02 jitter) coupled by nearest-neighbour hops of about 0.005."""
+    energies = 0.1 * np.arange(n) + rng.uniform(-0.02, 0.02, size=n)
+    hop = 0.005 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+    return energies, np.diag(hop, 1) + np.diag(hop.conj(), -1)
+
+
+def _compare_report(pkg: SimpleNamespace, path: Path, steps: int) -> np.ndarray:
+    out = path.with_suffix(f".{steps}.csv")
+    argv = ["compare", "--input", str(path), "--output", str(out), "--order", "3",
+            "--t-start", "20", "--t-end", "40", "--t-steps", str(steps)]
+    pkg.cli.main(argv, standalone_mode=False)
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(cell) for cell in line.split(",")[1:]] for line in lines[1:]])
+
+
+def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
     """Each case as a call without arguments that returns its values."""
     rng = np.random.default_rng(24)
     levels = 0.5 * np.arange(5) + rng.uniform(-0.05, 0.05, size=5)
@@ -69,14 +104,29 @@ def cases(pkg: SimpleNamespace) -> dict[str, object]:
     out["dd_exp one set"] = lambda: pkg.ddkernel.dd_exp(pkg.ddkernel.NodeList(row, T))
     labels = pkg.terms.enumerate_catalog(4).labels
     for n in (5, 8, 12, 24, 48):
-        energies = 0.2 * np.arange(n) + rng.uniform(-0.02, 0.02, size=n)
-        h1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h1 = h1 + h1.conj().T
-        np.fill_diagonal(h1, 0.0)
-        h1 *= 0.1 / np.linalg.norm(h1, 2)
-        system = pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
+        system = _dense_system(pkg, rng, n)
         out[f"order-4 terms N={n}"] = (
             lambda system=system: pkg.terms.eval_closed_term(system, labels, T, 0, 1)
+        )
+    for n in (12, 24, 40):
+        energies, h1 = _chain(rng, n)
+        system = pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
+        path = workdir / f"chain{n}.json"
+        doc = {"dimension": n, "energies": energies.tolist(),
+               "h1": [[[z.real, z.imag] for z in row] for row in h1.tolist()]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for steps in (2, 101):
+            ts = np.linspace(20.0, 40.0, steps)
+            out[f"improved N={n} T={steps}"] = (
+                lambda system=system, ts=ts: pkg.improved._improved_sum_grid(system, range(4), ts)
+            )
+            out[f"compare N={n} T={steps}"] = (
+                lambda path=path, steps=steps: _compare_report(pkg, path, steps)
+            )
+    for n in (8, 12):
+        system = _dense_system(pkg, rng, n)
+        out[f"split l=4 N={n}"] = (
+            lambda system=system: np.array(list(pkg.terms.split_t_power_parts(system, 4, T).values()))
         )
     return out
 
@@ -91,7 +141,11 @@ def _round(call: object, number: int) -> float:
 def main(argv: list[str]) -> None:
     if len(argv) != 2:
         raise SystemExit(__doc__)
-    sides = [cases(load(Path(src).resolve())) for src in argv]
+    workdir = Path(tempfile.mkdtemp(prefix="kernel-timing-"))
+    sides = []
+    for side, src in zip("ab", argv):
+        (workdir / side).mkdir()
+        sides.append(cases(load(Path(src).resolve()), workdir / side))
     table = []
     for name in sides[0]:
         calls = [side[name] for side in sides]
@@ -109,13 +163,14 @@ def main(argv: list[str]) -> None:
             "b_faster_rounds": f"{sum(b < a for a, b in zip(*times))}/{ROUNDS}",
             "max_diff_rel": float(np.max(np.abs(values[1] - values[0]))) / scale,
         })
-    print(f"{'case':<22}{'A min':>10}{'A median':>10}{'B min':>10}{'B median':>10}"
+    print(f"{'case':<24}{'A min':>10}{'A median':>10}{'B min':>10}{'B median':>10}"
           f"{'B faster':>10}{'max diff':>10}")
     for e in table:
         a, b = e["a_ms"], e["b_ms"]
-        print(f"{e['case']:<22}{a['min']:>10.4g}{a['median']:>10.4g}{b['min']:>10.4g}"
+        print(f"{e['case']:<24}{a['min']:>10.4g}{a['median']:>10.4g}{b['min']:>10.4g}"
               f"{b['median']:>10.4g}{e['b_faster_rounds']:>10}{e['max_diff_rel']:>10.2g}")
     print(json.dumps(table))
+    shutil.rmtree(workdir)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,36 @@
 """The residue factors built one order and power at a time: the test oracle.
 
-This is `perturbseries.improved`'s residue-factor construction as it was
-before one residue table served every order and t-power of a call.  It
-starts a fresh memo for each (order, power), and forms every closed loop
-between two poles as a dense N x N matrix, zero off the tied pairs, that
-multiplies the row after it.  The table must give the same rank-one
-factors up to round-off (`tests/test_residue_table.py`).
+This is the resolvent-expansion construction that `perturbseries` used for
+the improved amplitudes and the t-power split before one Rayleigh-Schrodinger
+(Bloch) recursion gave their weights.  It expands each slot of R (g R)^order
+in Kato's reduced resolvents, sums over the compositions of the Laurent
+powers, starts a fresh memo for each (order, power), and forms every closed
+loop between two poles as a dense N x N matrix, zero off the tied pairs,
+that multiplies the row after it.  It shares only `_reduced_resolvents` with
+the package, so it checks the recursion's weights independently
+(`tests/test_residue_table_properties.py`) and gives the Laurent
+coefficients that the revisions are checked against
+(`tests/test_revision_properties.py`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 from numpy.typing import NDArray
 
-from perturbseries.improved import _compositions, _reduced_resolvents
+from perturbseries.improved import _reduced_resolvents
+
+
+def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of ``slots`` non-negative integers summing to ``total``, in lexicographic order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, slots - 1):
+            yield (first, *rest)
 
 
 def residue_factors_loop(

@@ -176,14 +176,16 @@ def test_compare_computes_the_revisions_once(tmp_path, monkeypatch):
     }
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    # One recursion at the deepest revision order gives the revisions and
+    # every order's weights.
     calls = []
-    original = improved.revision_energies
+    original = improved._rayleigh_schrodinger
 
     def counting(*args, **kwargs):
-        calls.append(args[1:])
+        calls.append(args[2:])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(improved, "revision_energies", counting)
+    monkeypatch.setattr(improved, "_rayleigh_schrodinger", counting)
     cfg = RunConfig(
         command="compare", input_path=str(path), output_path=str(tmp_path / "out.csv"),
         order=3, t_end=40.0, t_steps=9,

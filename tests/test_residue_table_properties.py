@@ -1,13 +1,18 @@
-"""Property test: the residue table against the per-order loop route.
+"""Property tests: the phase weights of the Rayleigh-Schrodinger (Bloch) recursion
+against the resolvent-expansion loop route.
 
-`residue_factors_loop` builds the rank-one factors one order and power at a
-time, with every closed loop as a dense matrix that is zero off the tied
-pairs.  The table shares its products across orders and powers and applies
-each loop as a vector over the tied pairs.  Systems plant exact ties among
-closed-form levels and draw every coupling link independently, so a tie may
-be coupled directly, through other levels or not at all; the table is
-called without any route's refusal, so ties farther away than each route's
-refusal hops and directly coupled ones are both covered.
+`residue_factors_loop` builds the weight of (-i t)^p exp(-i E'_k t) in each
+order from the Laurent expansion of the resolvent product, one order and
+power at a time.  The package reads the same weights from the eigenprojector
+series of one recursion (`improved._projector_weights`).  Systems plant
+exact ties among closed-form levels and draw every coupling link
+independently, so a tie may be coupled directly, through other levels or
+not at all; the recursion is called without any route's refusal, so ties
+farther away than each route's refusal hops and directly coupled ones are
+both covered.  Tied levels share one phase, and how a tie group's weight
+divides among its levels is a gauge choice that no route outputs, so a
+level within ``order`` couplings of a tie partner is compared by its tie
+group's sum.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from perturbseries.improved import _ResidueTable  # noqa: E402
+from perturbseries.improved import _projector_weights, _rayleigh_schrodinger  # noqa: E402
 
 from residue_factors_loop import residue_factors_loop  # noqa: E402
 
@@ -52,6 +57,39 @@ def _weights(columns: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("aKk,Kkb->abk", columns.reshape(n, k, n), rows.reshape(k, n, n))
 
 
+def _recursion_weights(e: np.ndarray, g: np.ndarray, top: int, powers: int):
+    """W[p][l][a, b, k] for orders l <= top and powers p < powers, from one recursion."""
+    shifts, states = _rayleigh_schrodinger(e, g, max(top + 1, 2))
+    columns, rows, levels, weights = _projector_weights(e, shifts, states, top, powers)
+    onehot = levels[:, np.newaxis] == np.arange(e.shape[0])
+    return [
+        [np.einsum("ax,x,xb,xk->abk", columns, w, rows, onehot) for w in by_order]
+        for by_order in weights
+    ]
+
+
+def _reach(g: np.ndarray, hops: int) -> np.ndarray:
+    """Which levels a chain of at most ``hops`` off-diagonal couplings joins."""
+    coupled = (g != 0).astype(int)
+    np.fill_diagonal(coupled, 0)
+    reach = np.eye(g.shape[0], dtype=int)
+    for _ in range(hops):
+        reach = np.minimum(reach + reach @ coupled, 1)
+    return reach.astype(bool)
+
+
+def _assert_weights_match(e, g, got, ref, order):
+    # Round-off scales with the summed weight magnitude, as in
+    # test_clustered_levels_error_bounded_by_summed_weights.
+    scale = float(np.max(np.sum(np.abs(ref), axis=-1)))
+    ties = e[:, np.newaxis] == e
+    near = (ties & ~np.eye(e.shape[0], dtype=bool) & _reach(g, order)).any(axis=1)
+    # A level with a tie partner near is compared by its tie group's sum.
+    got = np.where(near, got @ ties, got)
+    ref = np.where(near, ref @ ties, ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale, order
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 6),
@@ -59,18 +97,30 @@ def _weights(columns: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     diagonal=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_table_matches_the_loop_route(n, ties, diagonal, seed):
+def test_recursion_matches_the_loop_route(n, ties, diagonal, seed):
     e, g = _planted(n, ties, diagonal, seed)
-    table = _ResidueTable(e, g)
+    weights = _recursion_weights(e, g, 4, 3)
     for order in range(5):
         for power in range(min(order, 2) + 1):
-            columns, rows = table.factors(order, power)
-            got = _weights(np.concatenate(columns, axis=1), np.concatenate(rows), n)
             ref = _weights(*residue_factors_loop(e, g, order, power), n)
-            # Round-off scales with the summed weight magnitude, as in
-            # test_clustered_levels_error_bounded_by_summed_weights.
-            scale = float(np.max(np.sum(np.abs(ref), axis=-1)))
-            assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (order, power)
+            _assert_weights_match(e, g, weights[power][order], ref, order)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(exponent=st.floats(-6.0, -2.0), seed=st.integers(0, 2**32 - 1))
+def test_near_confluent_levels_match_the_loop_route(exponent, seed):
+    # Levels [0, delta, 1] with delta in [1e-6, 1e-2] and a dense coupling:
+    # the weights grow like delta^-(order - power) and cancel in the sum.
+    e = np.array([0.0, 10.0**exponent, 1.0])
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    g = 0.05 * (g + g.conj().T)
+    np.fill_diagonal(g, 0.0)
+    weights = _recursion_weights(e, g, 4, 3)
+    for order in range(5):
+        for power in range(min(order, 2) + 1):
+            ref = _weights(*residue_factors_loop(e, g, order, power), 3)
+            _assert_weights_match(e, g, weights[power][order], ref, order)
 
 
 def test_planted_systems_couple_their_ties():

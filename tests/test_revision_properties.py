@@ -4,9 +4,12 @@ The diagonal of the order-l resolvent product R (g R)^l has, at the pole
 E'_k, the residue c0_l[k] and the next Laurent coefficient c1_l[k].  Summed
 over orders, the shifted phase exp(-i (E'_k + G) t) makes the series of c1
 the product of the series of c0 with the revisions G, so
-G_l = c1_l - sum_{m=1}^{l-2} c0_m G_{l-m}.  The residue table that builds
-the improved amplitudes gives the c's; the revisions come from their own
-recursion, and the two share only the inverse gaps.
+G_l = c1_l - sum_{m=1}^{l-2} c0_m G_{l-m}.  The loop oracle
+`residue_factors_loop` gives the c's from the resolvent expansion; the
+revisions come from the package's Rayleigh-Schrodinger recursion, which
+also gives the improved amplitudes' weights, so taking the c's from the
+package would check the recursion against itself.  The two routes share
+only the inverse gaps.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from perturbseries.improved import _ResidueTable, revision_energies  # noqa: E402
+from perturbseries.improved import revision_energies  # noqa: E402
 
 from helpers import planted_system, random_hermitian  # noqa: E402
+from residue_factors_loop import residue_factors_loop  # noqa: E402
 
 
 def _spaced_system(n: int, norm: float, seed: int):
@@ -41,22 +45,23 @@ systems = st.builds(
 )
 
 
-def _pole_diagonal(table: _ResidueTable, order: int, power: int) -> np.ndarray:
+def _pole_diagonal(sys, order: int, power: int) -> np.ndarray:
     """c_power[k]: the Laurent coefficient at E'_k of the [k, k] entry of R (g R)^order."""
-    columns, rows = table.factors(order, power)
-    return sum(np.diagonal(c) * np.diagonal(r) for c, r in zip(columns, rows))
+    columns, rows = residue_factors_loop(sys.energies_redivided, sys.g, order, power)
+    n = sys.dimension
+    blocks = columns.shape[1] // n
+    return np.einsum("kKk,Kkk->k", columns.reshape(n, blocks, n), rows.reshape(blocks, n, n))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(sys=systems)
 def test_revisions_are_the_laurent_quotient_of_the_residues(sys):
     rev = revision_energies(sys, 5)
-    table = _ResidueTable(sys.energies_redivided, sys.g)
     norm = float(np.linalg.norm(sys.g, 2))
     quotient: dict[int, np.ndarray] = {}
     for l in range(2, 6):
-        quotient[l] = _pole_diagonal(table, l, 1) - sum(
-            _pole_diagonal(table, m, 0) * quotient[l - m] for m in range(1, l - 1)
+        quotient[l] = _pole_diagonal(sys, l, 1) - sum(
+            _pole_diagonal(sys, m, 0) * quotient[l - m] for m in range(1, l - 1)
         )
         # Odd orders vanish on two levels, so scale by the order's natural size too.
         scale = max(float(np.max(np.abs(rev.revision(l)))), norm**l)

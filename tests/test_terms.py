@@ -347,7 +347,7 @@ def test_split_rejects_out_of_range_orders(rng):
 
 
 # ---------------------------------------------------------------------------
-# the residue-factor split against the path-walk oracle
+# the eigenprojector split against the path-walk oracle
 
 GATE_TIMES = (0.7, 13.0, -40.0, 200.0)
 POWER_NAMES = ("e", "te", "t2e")

@@ -7,7 +7,7 @@ path, grouping the paths by their node multiset and splitting each
 divided difference this way regroups an amplitude by t-power.  The walk
 is exponential in the order and the coefficients are built node by node
 in scalar arithmetic; it stays here as a reference that shares no code
-with the package's residue-factor split.
+with the package's eigenprojector split.
 """
 
 from __future__ import annotations
