@@ -10,7 +10,9 @@ revision hierarchy through fifth order, the perturbed states and the
 weights of the rewritten amplitudes of orders zero through three from one
 Rayleigh-Schrodinger recursion for all levels at once, in Bloch's
 wave-operator form: a weight is a coefficient of the series of a perturbed
-eigenprojector, and each time then costs one matrix product.  It also
+eigenprojector.  Its order-0 state correction is the identity, so the
+terms that carry it are added as scaled rows and columns, and only the
+others take a matrix product, one per chunk of times.  It also
 exposes the derived quantities that make the scheme useful: an improved
 two-level transition probability, a revised golden-rule transition rate
 for a tabulated continuum, and stationary perturbed energies/states.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .ddkernel import _finite_time
+from .ddkernel import _CHUNK_BYTES, _finite_time
 from .model import SplitSystem, _refuse_coupled_ties
 from .series import AmplitudeMatrix
 
@@ -249,7 +251,8 @@ def _rayleigh_schrodinger(
     Psi_0 = 1 and Psi_j = q^T * (g Psi_{j-1} - sum_{i=1}^{j-1} Psi_{j-i} E^(i)),
     with q from ``_reduced_resolvents``: one N x N product per order, the
     last order's E^(j) an einsum.  E^(1) is the diagonal of g and its tied
-    pairs, zero after redivision.
+    pairs, zero after redivision unless a tied pair is coupled; the sum
+    then starts at i = 2.
     """
     n = e.shape[0]
     rows, cols = _tie_pattern(e)
@@ -257,10 +260,11 @@ def _rayleigh_schrodinger(
     qt = _reduced_resolvents(e).T
     shifts = [np.zeros(rows.shape, dtype=np.complex128), g[rows, cols]]
     states = [np.eye(n, dtype=np.complex128), qt * g]
+    first = 1 if shifts[1].any() else 2
     for j in range(2, order):
         product = g @ states[j - 1]
         shifts.append(product[rows, cols])
-        for i in range(1, j):
+        for i in range(first, j):
             product -= shifts[i][:n] * states[j - i]
             if b.size:  # each tied pair (a, b) of E^(i) takes Psi_{j-i}[:, a] into column b
                 np.subtract.at(product, (slice(None), b), states[j - i][:, a] * shifts[i][n:])
@@ -276,9 +280,12 @@ def _projector_weights(
     top: int,
     powers: int,
 ) -> tuple[
-    NDArray[np.complex128], NDArray[np.complex128], NDArray[np.intp], list[list[NDArray[np.complex128]]]
+    tuple[NDArray[np.intp], NDArray[np.intp]],
+    list[NDArray[np.complex128]],
+    list[NDArray[np.complex128]],
+    NDArray[np.complex128],
 ]:
-    """Stacked factors of the phase weights in the amplitudes of orders 0..top.
+    """Factors of the phase weights in the amplitudes of orders 0..top.
 
     The exact propagator sums exp(-i H t) P over the tie groups, P the
     projector on a group's perturbed states.  With the wave operator
@@ -286,14 +293,14 @@ def _projector_weights(
     overlap Omega^H Omega on the tie blocks, and H Omega = Omega (E' + delta)
     with delta = sum_j E^(j) (Kato 1966, Ch. II §2).  So the weight of
     (-i t)^p exp(-i E'_k t) in order l sums Psi_i M Psi_j^H / p! over
-    i + j + m = l, M the order-m part of delta^p S.
+    i + j + m = l, M the order-m part of delta^p S, and M depends on the
+    pair (i, j) only through s = i + j.
 
-    Returns, for the K pairs i + j <= top, ``columns`` (N, K P), the Psi_i
-    at the pattern's rows, and ``rows`` (K P, N), the Psi_j^H at its
-    columns; ``levels``, the level whose phase each stacked column carries;
-    and ``weights[p][l]``, each pair's M for order l and power p < ``powers``.
-    For level phases phi, (columns * (phi[levels] * weights[p][l])) @ rows
-    is p! times the coefficient of (-i t)^p in order l.  Block-diagonal
+    Returns the pattern ``(rows, cols)`` of ``_tie_pattern(e)``, of size K;
+    ``left[i]`` (N, K), Psi_i at the pattern's rows, and ``right[j]`` (K, N),
+    Psi_j^H at its columns, for i, j <= top; and ``weights[p, l, s]`` (K,),
+    the M of the pairs with i + j = s in order l (zero for s > l), for power
+    p < ``powers``.  ``_projector_sum`` puts them together.  Block-diagonal
     matrices stay vectors over the pattern: no N x N product is formed here.
     """
     rows, cols = _tie_pattern(e)
@@ -325,18 +332,64 @@ def _projector_weights(
     series = [inverse]  # delta^p S for p = 0, 1, ...
     for _ in range(1, powers):
         series.append([convolve(shifts, series[-1], m) for m in range(top + 1)])
-    zero = np.zeros(size, dtype=np.complex128)
-    pairs = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
-    weights = [
-        [np.concatenate([s[l - i - j] if i + j <= l else zero for i, j in pairs]) for l in range(top + 1)]
-        for s in series
-    ]
-    return (
-        np.concatenate([left[i] for i, _ in pairs], axis=1),
-        np.concatenate([right[j].T for _, j in pairs]),
-        np.tile(rows, len(pairs)),
-        weights,
-    )
+    lag = np.subtract.outer(np.arange(top + 1), np.arange(top + 1))  # l - s
+    weights = np.where(lag[..., np.newaxis] >= 0, np.array(series)[:, lag], 0.0)
+    return (rows, cols), left, [r.T for r in right], weights
+
+
+def _projector_sum(
+    pattern: tuple[NDArray[np.intp], NDArray[np.intp]],
+    left: list[NDArray[np.complex128]],
+    right: list[NDArray[np.complex128]],
+    coefficients: NDArray[np.complex128],
+) -> NDArray[np.complex128]:
+    """sum_{i+j<=top} Psi_i diag(c_{i+j}) Psi_j^H for each leading index, shape (T, N, N).
+
+    ``pattern``, ``left`` and ``right`` come from ``_projector_weights``;
+    ``coefficients`` (T, top + 1, K) holds c_s over the pattern for each
+    time (or power).  Psi_0 = 1 selects entries: the pairs with i = 0 add
+    c_j Psi_j^H to the pattern's rows and those with j = 0 add Psi_i c_i to
+    its columns (a slice add for the N diagonal entries, ``np.add.at`` for
+    the tied pairs), summed over j or i by one small batched product.  Only
+    the pairs i, j >= 1 form an N x N product, one per chunk of times, of
+    inner width K times their number: 3K at order 3, 6K at order 4.
+    """
+    rows, cols = pattern
+    n, size = left[0].shape
+    top = len(left) - 1
+    pairs = [(i, s - i) for s in range(2, top + 1) for i in range(1, s)]
+    sums = [i + j for i, j in pairs]
+    width = len(pairs) * size
+    if pairs:
+        columns = np.concatenate([left[i] for i, _ in pairs], axis=1)
+        stacked = np.concatenate([right[j] for _, j in pairs])
+    # ends[p, s - 1]: row p of Psi_s^H, then column p of Psi_s.
+    ends = np.empty((size, top, 2 * n), dtype=np.complex128)
+    for s in range(1, top + 1):
+        ends[:, s - 1, :n], ends[:, s - 1, n:] = right[s], left[s].T
+    a, b = rows[n:], cols[n:]
+    times = coefficients.shape[0]
+    out = np.empty((times, n, n), dtype=np.complex128)
+    span = max(1, _CHUNK_BYTES // (16 * n * max(width, n)))
+    scaled = np.empty((min(span, times), n, width), dtype=np.complex128)
+    for lo in range(0, times, span):
+        c = coefficients[lo : lo + span]
+        m = c.shape[0]
+        block = out[lo : lo + m]
+        if pairs:
+            np.multiply(columns, c[:, sums].reshape(m, 1, width), out=scaled[:m])
+            np.matmul(scaled[:m].reshape(m * n, width), stacked, out=block.reshape(m * n, n))
+        else:
+            block.fill(0.0)
+        block.reshape(m, n * n)[:, :: n + 1] += c[:, 0, :n]
+        ends_c = np.matmul(c[:, 1:].transpose(2, 0, 1), ends)  # (K, m, 2N)
+        block += ends_c[:n, :, :n].transpose(1, 0, 2)
+        block += ends_c[:n, :, n:].transpose(1, 2, 0)
+        if a.size:
+            np.add.at(block, (slice(None), a, b), c[:, 0, n:])
+            np.add.at(block, (slice(None), a), ends_c[n:, :, :n].transpose(1, 0, 2))
+            np.add.at(block, (slice(None), slice(None), b), ends_c[n:, :, n:].transpose(1, 2, 0))
+    return out
 
 
 def _improved_sum_grid(
@@ -349,7 +402,10 @@ def _improved_sum_grid(
 
     One ``_rayleigh_schrodinger`` call, at the deepest order any revision or
     amplitude needs, gives the revisions and the phase weights of every
-    order (``_projector_weights``); each time then costs one matrix product.
+    order (``_projector_weights``).  The coefficient c_s of the pairs with
+    i + j = s sums each order's shifted phases times its weight for s, and
+    ``_projector_sum`` forms the amplitudes, with one product per chunk of
+    times over the pairs i, j >= 1.
     """
     chosen = [_resolve_g_orders(l, g_orders) for l in orders]
     e = sys.energies_redivided
@@ -360,15 +416,11 @@ def _improved_sum_grid(
     revisions = _revisions(sys, shifts, deepest) if deepest else None
     # Phases and revisions are per level, so no tie may sit on an amplitude's chain.
     _refuse_coupled_ties(e, sys.g, top, diagonal=top >= 2)
-    columns, rows, levels, weights = _projector_weights(e, shifts, states, top, 1)
-    phases = sum(
-        weights[0][l] * np.exp(-1j * np.outer(ts, revisions.e_tilde(c) if c else e))[:, levels]
-        for l, c in zip(orders, chosen)
-    )
-    out = np.empty((len(ts), e.shape[0], e.shape[0]), dtype=np.complex128)
-    for i, phase in enumerate(phases):
-        out[i] = (columns * phase) @ rows
-    return out
+    pattern, left, right, weights = _projector_weights(e, shifts, states, top, 1)
+    levels = np.array([revisions.e_tilde(c) if c else e for c in chosen])[:, pattern[0]]
+    phases = np.exp(-1j * (ts[:, np.newaxis, np.newaxis] * levels))
+    coefficients = np.einsum("tok,osk->tsk", phases, weights[0][list(orders)])
+    return _projector_sum(pattern, left, right, coefficients)
 
 
 def improved_amplitude(

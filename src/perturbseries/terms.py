@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ddkernel import _dd_value, _finite_time
-from .improved import _projector_weights, _rayleigh_schrodinger
+from .improved import _projector_sum, _projector_weights, _rayleigh_schrodinger
 from .model import SplitSystem, _refuse_coupled_ties
 
 __all__ = [
@@ -91,6 +91,15 @@ class TermLabel:
             raise ValueError(f"first group may not contain 'k': {groups[0]!r}")
         if len(groups) > 1 and set(groups[-1]) == {"k"}:
             raise ValueError(f"trailing all-'k' group in {groups!r} (not canonical)")
+        # Labels key the matching cache: hash once, not on every lookup.
+        object.__setattr__(self, "_hash", hash((l, groups)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type, tuple[int, tuple[str, ...]]]:
+        # Rebuild from the fields: a string hash differs between processes.
+        return (TermLabel, (self.order, self.groups))
 
     @classmethod
     def parse(cls, text: str, order: int | None = None) -> "TermLabel":
@@ -375,12 +384,12 @@ def split_t_power_parts(
         )
     diagonal = np.eye(sys.dimension, dtype=bool)
     shifts, states = _rayleigh_schrodinger(energies, g, l + 1)
-    columns, rows, levels, weights = _projector_weights(energies, shifts, states, l, 3)
-    phases = np.exp(-1j * energies * t)[levels]
+    pattern, left, right, weights = _projector_weights(energies, shifts, states, l, 3)
+    scale = np.array([(-1j * t) ** power / math.factorial(power) for power in range(3)])
+    phases = np.exp(-1j * energies * t)[pattern[0]]
+    parts = _projector_sum(pattern, left, right, phases * scale[:, None, None] * weights[:, l])
     out: dict[tuple[str, str], NDArray[np.complex128]] = {}
-    for power, name in enumerate(("e", "te", "t2e")):
-        scale = (-1j * t) ** power / math.factorial(power)
-        part = (columns * (phases * scale * weights[power][l])) @ rows
+    for part, name in zip(parts, ("e", "te", "t2e")):
         out[(name, "D")] = np.where(diagonal, part, 0.0)
         out[(name, "N")] = np.where(diagonal, 0.0, part)
     return out

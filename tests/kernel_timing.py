@@ -20,7 +20,10 @@ which side goes first:
   ``cli.main``, on nearest-neighbour chains of N = 12, 24 and 40 levels
   0.1 apart (0.02 jitter, hopping 0.005), at 2 and 101 times in [20, 40];
 - ``terms.split_t_power_parts`` at order 4 on N = 8 and 12 levels 0.2
-  apart with a dense coupling of spectral norm 0.1.
+  apart with a dense coupling of spectral norm 0.1;
+- the improved grid and the compare report on chains of N = 32 and 36 at
+  2 times, the benchmark's other chain lengths, and the improved grid on
+  a chain of N = 40 at 1,001 times in [20, 40].
 
 For each case it prints the fastest and the median round of each side in
 milliseconds, the rounds in which SRC_B was faster, and the largest
@@ -92,6 +95,28 @@ def _compare_report(pkg: SimpleNamespace, path: Path, steps: int) -> np.ndarray:
     return np.array([[float(cell) for cell in line.split(",")[1:]] for line in lines[1:]])
 
 
+def _chain_case(
+    pkg: SimpleNamespace, rng: np.random.Generator, workdir: Path, n: int
+) -> tuple[object, Path]:
+    """A chain of ``n`` levels as a redivided system and as an input file."""
+    energies, h1 = _chain(rng, n)
+    system = pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
+    path = workdir / f"chain{n}.json"
+    doc = {"dimension": n, "energies": energies.tolist(),
+           "h1": [[[z.real, z.imag] for z in row] for row in h1.tolist()]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return system, path
+
+
+def _add_chain_cases(
+    pkg: SimpleNamespace, out: dict[str, object], system: object, path: Path, n: int, steps: int
+) -> None:
+    """The improved grid and the whole compare report at ``steps`` times in [20, 40]."""
+    ts = np.linspace(20.0, 40.0, steps)
+    out[f"improved N={n} T={steps}"] = lambda: pkg.improved._improved_sum_grid(system, range(4), ts)
+    out[f"compare N={n} T={steps}"] = lambda: _compare_report(pkg, path, steps)
+
+
 def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
     """Each case as a call without arguments that returns its values."""
     rng = np.random.default_rng(24)
@@ -109,25 +134,22 @@ def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
             lambda system=system: pkg.terms.eval_closed_term(system, labels, T, 0, 1)
         )
     for n in (12, 24, 40):
-        energies, h1 = _chain(rng, n)
-        system = pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
-        path = workdir / f"chain{n}.json"
-        doc = {"dimension": n, "energies": energies.tolist(),
-               "h1": [[[z.real, z.imag] for z in row] for row in h1.tolist()]}
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        system, path = _chain_case(pkg, rng, workdir, n)
         for steps in (2, 101):
-            ts = np.linspace(20.0, 40.0, steps)
-            out[f"improved N={n} T={steps}"] = (
-                lambda system=system, ts=ts: pkg.improved._improved_sum_grid(system, range(4), ts)
-            )
-            out[f"compare N={n} T={steps}"] = (
-                lambda path=path, steps=steps: _compare_report(pkg, path, steps)
-            )
+            _add_chain_cases(pkg, out, system, path, n, steps)
     for n in (8, 12):
         system = _dense_system(pkg, rng, n)
         out[f"split l=4 N={n}"] = (
             lambda system=system: np.array(list(pkg.terms.split_t_power_parts(system, 4, T).values()))
         )
+    # Drawn last, so the cases above keep their inputs.
+    for n in (32, 36):
+        system, path = _chain_case(pkg, rng, workdir, n)
+        _add_chain_cases(pkg, out, system, path, n, 2)
+    energies, h1 = _chain(rng, 40)
+    system = pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
+    ts = np.linspace(20.0, 40.0, 1001)
+    out["improved N=40 T=1001"] = lambda: pkg.improved._improved_sum_grid(system, range(4), ts)
     return out
 
 

@@ -26,6 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from perturbseries.improved import _projector_weights, _rayleigh_schrodinger  # noqa: E402
 
+from projector_stacked import stack_pairs  # noqa: E402
 from residue_factors_loop import residue_factors_loop  # noqa: E402
 
 LINK_PROBABILITY = 0.45
@@ -60,7 +61,7 @@ def _weights(columns: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 def _recursion_weights(e: np.ndarray, g: np.ndarray, top: int, powers: int):
     """W[p][l][a, b, k] for orders l <= top and powers p < powers, from one recursion."""
     shifts, states = _rayleigh_schrodinger(e, g, max(top + 1, 2))
-    columns, rows, levels, weights = _projector_weights(e, shifts, states, top, powers)
+    columns, rows, levels, weights = stack_pairs(*_projector_weights(e, shifts, states, top, powers))
     onehot = levels[:, np.newaxis] == np.arange(e.shape[0])
     return [
         [np.einsum("ax,x,xb,xk->abk", columns, w, rows, onehot) for w in by_order]

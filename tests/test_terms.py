@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -141,6 +147,24 @@ def test_constraints_positions():
 def test_compact_drops_filler_rows():
     label = TermLabel(order=4, groups=("nnn", "kk", "c"))
     assert label.compact() == "nnn,c"
+
+
+def test_unpickled_label_hashes_like_a_parsed_one_in_another_process():
+    # A label hashes once; string hashes differ between processes, so a
+    # pickle must not carry the hash into a process with another seed.
+    code = (
+        "import pickle, sys\n"
+        "from perturbseries.terms import TermLabel\n"
+        "label = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(label in {TermLabel.parse('nn,c')}, hash(label) == hash(TermLabel.parse('nn,c')))\n"
+    )
+    src = str(Path(terms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(TermLabel.parse("nn,c")),
+        capture_output=True, env=env, check=True, timeout=60,
+    )
+    assert done.stdout.split() == [b"True", b"True"]
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
