@@ -56,11 +56,7 @@ from numpy.typing import NDArray
 
 from . import __version__
 from .ddkernel import _finite_time
-from .improved import (
-    GoldenRuleInput,
-    golden_rule,
-    revision_energies,
-)
+from .improved import _IMPROVED_MAX, _REVISION_MAX, GoldenRuleInput, golden_rule, revision_energies
 
 # The grid forms keep the names of the per-call functions they batch, so a
 # caller that wraps those names still covers the same work.
@@ -74,7 +70,7 @@ from .model import (
 )
 from .oracle import ExactSolution, diagonalize, exact_transition_probability
 from .series import DEFAULT_L_MAX, _truncated_sum_grid
-from .terms import _EVAL_MAX, enumerate_catalog, eval_closed_term
+from .terms import _CATALOG_MAX, _CATALOG_MIN, _EVAL_MAX, enumerate_catalog, eval_closed_term
 
 __all__ = ["RunConfig", "main", "parse_spec_file", "run"]
 
@@ -475,11 +471,11 @@ def _parse_g_orders(text: str | None) -> tuple[int, ...] | None:
             orders = tuple(int(part) for part in s.split(","))
     except ValueError as exc:
         raise ValueError(
-            "--g-orders must be 'none', a comma list like '2,3,4', or a range like '2..5'; "
-            f"got {text!r}"
+            "--g-orders must be 'none', a comma list like '2,3,4', or a range like "
+            f"'2..{_REVISION_MAX}'; got {text!r}"
         ) from exc
-    if len(set(orders)) != len(orders) or any(not 2 <= a <= 5 for a in orders):
-        raise ValueError("--g-orders entries must be distinct integers in 2..5")
+    if len(set(orders)) != len(orders) or any(not 2 <= a <= _REVISION_MAX for a in orders):
+        raise ValueError(f"--g-orders entries must be distinct integers in 2..{_REVISION_MAX}")
     return orders
 
 
@@ -564,23 +560,25 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _INPUT,
         _OUTPUT,
         _Option(
-            "--order", "order", _IntRange(0, 3), 3,
-            "Truncation order L for both series; the improved forms stop at 3.",
+            "--order", "order", _IntRange(0, _IMPROVED_MAX), 3,
+            f"Truncation order L for both series; the improved forms stop at {_IMPROVED_MAX}.",
         ),
         _Option(
             "--g-orders", "g_orders", str, None,
-            "Revision orders for the improved exponents: 'none', '2,3', or '2..5' "
+            f"Revision orders for the improved exponents: 'none', '2,3', or '2..{_REVISION_MAX}' "
             "(default: per-equation).",
         ),
         *_GRID,
         _NO_REDIVISION,
         _TOL_DEG,
     )),
-    "terms": ("List the term catalog (with values for order <= 4 when a system is given).", (
+    "terms": (
+        f"List the term catalog (with values for order <= {_EVAL_MAX} when a system is given).", (
         _INPUT._replace(required=False, help="JSON system file (optional)."),
         _OUTPUT,
         _Option(
-            "--order", "order", _IntRange(2, 6), None, "Expansion order l of the catalog.",
+            "--order", "order", _IntRange(_CATALOG_MIN, _CATALOG_MAX), None,
+            "Expansion order l of the catalog.",
             required=True,
         ),
         _Option("--time", "time", float, 1.0, "Evaluation time."),
@@ -608,7 +606,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _OUTPUT,
         _Option(
             "--g-orders", "g_orders", str, None,
-            "Revision orders in the shifted energies: 'none', '2,3', or '2..5' "
+            f"Revision orders in the shifted energies: 'none', '2,3', or '2..{_REVISION_MAX}' "
             "(default: 2,3,4).",
         ),
         _NO_REDIVISION,

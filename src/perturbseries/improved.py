@@ -86,15 +86,11 @@ def simpson(y: NDArray[np.float64], *, x: NDArray[np.float64]) -> float:
 # that far on both sides of the resonance.
 _WINDOW_FACTOR = 200.0
 
-# Which revision orders enter the shifted exponents of each rewritten
-# amplitude.  The hierarchy is staggered: the lowest amplitude order
-# absorbs the deepest revisions.
-_LITERAL_G_ORDERS: dict[int, tuple[int, ...]] = {
-    0: (2, 3, 4, 5),
-    1: (2, 3, 4),
-    2: (2, 3),
-    3: (2,),
-}
+# The improved forms stop at amplitude order 3.  The revisions in the
+# shifted exponents are staggered: amplitude order l absorbs revisions
+# 2..(_IMPROVED_MAX + 2 - l), so order 0 takes the deepest, _REVISION_MAX.
+_IMPROVED_MAX = 3
+_REVISION_MAX = _IMPROVED_MAX + 2
 
 
 @dataclass(frozen=True)
@@ -198,20 +194,21 @@ def _revisions(
 
 
 def _check_g_orders(g_orders: Sequence[int]) -> tuple[int, ...]:
-    """The revision orders as distinct ints in 2..5; anything else raises."""
+    """The revision orders as distinct ints in 2.._REVISION_MAX; anything else raises."""
     chosen = tuple(g_orders)
     for a in chosen:
         if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
             raise TypeError(f"revision orders must be integers, got {a!r}")
-        if not 2 <= a <= 5:
-            raise ValueError("revision orders must lie in 2..5")
+        if not 2 <= a <= _REVISION_MAX:
+            raise ValueError(f"revision orders must lie in 2..{_REVISION_MAX}")
     if len(set(chosen)) != len(chosen):
         raise ValueError("revision orders must not repeat")
     return tuple(int(a) for a in chosen)
 
 
 def _resolve_g_orders(order: int, g_orders: Sequence[int] | None) -> tuple[int, ...]:
-    return _LITERAL_G_ORDERS[order] if g_orders is None else _check_g_orders(g_orders)
+    default = tuple(range(2, _REVISION_MAX + 1 - order))
+    return default if g_orders is None else _check_g_orders(g_orders)
 
 
 def _reduced_resolvents(e: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -322,10 +319,12 @@ def _projector_weights(
 
     left = [psi[:, rows] for psi in states[: top + 1]]
     right = [psi[:, cols].conj() for psi in states[: top + 1]]
-    overlap = [
-        sum(np.einsum("rx,rx->x", left[i], right[m - i]) for i in range(m + 1)).conj()
-        for m in range(top + 1)
-    ]
+    # Psi_0 = 1 and Psi_j (j >= 1) vanishes on the pattern, so the terms
+    # i = 0 and i = m of sum_i Psi_i^H Psi_{m-i} are zero for m >= 1.
+    overlap = [(rows == cols).astype(np.complex128)]
+    for m in range(1, top + 1):
+        products = (np.einsum("rx,rx->x", left[i], right[m - i]) for i in range(1, m))
+        overlap.append(sum(products, np.zeros(size, dtype=np.complex128)).conj())
     inverse = overlap[:1]  # S, from O S = 1
     for m in range(1, top + 1):
         inverse.append(-convolve(overlap, inverse, m))
@@ -444,8 +443,8 @@ def improved_amplitude(
     """
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise TypeError("order must be an integer")
-    if not 0 <= order <= 3:
-        raise ValueError("improved amplitudes are available for orders 0..3")
+    if not 0 <= order <= _IMPROVED_MAX:
+        raise ValueError(f"improved amplitudes are available for orders 0..{_IMPROVED_MAX}")
     tt = _finite_time(t)
     values = _improved_sum_grid(sys, (int(order),), np.array([tt]), g_orders)[0]
     return AmplitudeMatrix(order=int(order), t=tt, values=values)
@@ -666,9 +665,9 @@ def golden_rule(
         * (np.cos(om_nz * tt) - np.cos(shifted * tt))
         / (tt * om_nz * om_nz)
     )
-    for idx in np.nonzero(~nonzero)[0]:
-        if weight[idx] == 0.0:
-            continue  # the tabulated weight removes the pole
+    # The detunings strictly increase, so at most one sits at zero, and a
+    # zero tabulated weight there removes the pole.
+    if np.any(weight[~nonzero] != 0.0):
         at_zero = float(np.asarray(mapped(np.array([0.0])), dtype=float)[0])
         if not math.isfinite(at_zero) or 1.0 - math.cos(at_zero * tt) != 0.0:
             raise ValueError(

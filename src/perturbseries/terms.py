@@ -21,6 +21,11 @@ That gives orders 2 and 3 and the label sets of orders 4 and 5.  Orders
 4..6 come from reference lists shipped as fixture files; at order 6 the
 list resolves one stem at different pair positions, so only the count
 matches there.
+
+A path finds its label by its code, whose bit k says whether its levels at
+the k-th pair (label order) are equal: 1, 3, 6, 10 and 15 bits at orders
+2..6.  Each catalog tabulates once the one label every code fits, so a path
+with equal neighbours (a diagonal kept by skipping redivision) has one too.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -91,7 +95,7 @@ class TermLabel:
             raise ValueError(f"first group may not contain 'k': {groups[0]!r}")
         if len(groups) > 1 and set(groups[-1]) == {"k"}:
             raise ValueError(f"trailing all-'k' group in {groups!r} (not canonical)")
-        # Labels key the matching cache: hash once, not on every lookup.
+        # Labels key the catalog's index: hash once, not on every lookup.
         object.__setattr__(self, "_hash", hash((l, groups)))
 
     def __hash__(self) -> int:
@@ -168,6 +172,28 @@ class TermCatalog:
         # formatted once: enumerate_catalog returns one catalog per order
         return tuple(label.compact() for label in self.labels)
 
+    @cached_property
+    def _index(self) -> dict[TermLabel, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @cached_property
+    def _table(self) -> NDArray[np.intp]:
+        """Index of the label each path code fits, or -1 where none does.
+
+        A path's code sets bit k when its levels at the k-th pair of
+        ``_pattern_pairs`` are equal; a label fixes the bits of its ``c`` and
+        ``n`` pairs.  The catalog's labels fit disjoint sets of codes.
+        """
+        codes = np.arange(1 << len(_pattern_pairs(self.order)))
+        table = np.full(codes.size, -1, dtype=np.intp)
+        for i, label in enumerate(self.labels):
+            marks = "".join(label.groups)
+            fixed = sum(1 << k for k, ch in enumerate(marks) if ch != "k")
+            equal = sum(1 << k for k, ch in enumerate(marks) if ch == "c")
+            table[(codes & fixed) == equal] = i
+        table.setflags(write=False)
+        return table
+
 
 def _equality_patterns(size: int) -> list[tuple[int, ...]]:
     """Every partition of path positions 0..size-1 into classes of equal
@@ -180,9 +206,10 @@ def _equality_patterns(size: int) -> list[tuple[int, ...]]:
     return patterns
 
 
-def _pattern_pairs(l: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _pattern_pairs(l: int) -> tuple[tuple[int, int], ...]:
     """The path position pairs at distance >= 2 in label order (row-major)."""
-    return [(k, k + row + 1) for row in range(1, l) for k in range(l - row)]
+    return tuple((k, k + row + 1) for row in range(1, l) for k in range(l - row))
 
 
 @lru_cache(maxsize=None)
@@ -251,51 +278,6 @@ def enumerate_catalog(l: int) -> TermCatalog:
     return TermCatalog(order=l, labels=_load_fixture(l))
 
 
-class _Matching(NamedTuple):
-    """How the labels of one request match paths, built once per request.
-
-    Row ``i`` of ``signs`` writes the ``i``-th distinct requested label (in
-    first-seen order) as its ``c``/``n``/``k`` pairs, read at path positions
-    ``first`` and ``second``, as +1/-1/0, and ``need`` counts its nonzeros.
-    ``take`` gives each requested label's row, and ``whole`` says whether
-    the distinct labels make up the catalog.
-    """
-
-    take: NDArray[np.intp]
-    whole: bool
-    first: NDArray[np.intp]
-    second: NDArray[np.intp]
-    signs: NDArray[np.int64]
-    need: NDArray[np.int64]
-
-    def positions(self, path: NDArray[np.intp]) -> NDArray[np.intp]:
-        """Row of the label each path (a column) satisfies, or -1: the one
-        whose +1/-1 pairs all agree with the path's."""
-        agree = self.signs @ np.where(path[self.first] == path[self.second], 1, -1)
-        hits = agree == self.need
-        return np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
-
-
-@lru_cache(maxsize=64)
-def _matching(labels: tuple[TermLabel, ...], catalog: TermCatalog) -> _Matching:
-    """The matching of labels of the catalog's order; refuses a label outside it."""
-    members = set(catalog.labels)
-    for lab in labels:
-        if lab not in members:
-            raise ValueError(f"label {lab.compact()!r} is not in the order-{catalog.order} catalog")
-    position = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-    first, second = np.array(_pattern_pairs(catalog.order)).T
-    sign = {"c": 1, "n": -1, "k": 0}
-    signs = np.array(
-        [[sign[ch] for ch in "".join(lab.groups).ljust(first.size, "k")] for lab in position]
-    )
-    take = np.array([position[lab] for lab in labels], dtype=np.intp)
-    need = np.abs(signs).sum(axis=1, keepdims=True)
-    for arr in (take, first, second, signs, need):
-        arr.setflags(write=False)  # every caller of the cached request shares them
-    return _Matching(take, len(position) == len(members), first, second, signs, need)
-
-
 def eval_closed_term(
     sys: SplitSystem, label: TermLabel | Sequence[TermLabel], t: float, gamma: int, gamma_prime: int
 ) -> complex | NDArray[np.complex128]:
@@ -317,7 +299,11 @@ def eval_closed_term(
     (l,) = orders
     if l > _EVAL_MAX:
         raise ValueError(f"per-term evaluation supports orders <= {_EVAL_MAX}, got {l}")
-    match = _matching(labels, enumerate_catalog(l))
+    catalog = enumerate_catalog(l)
+    take = [catalog._index.get(lab, -1) for lab in labels]
+    if -1 in take:
+        foreign = labels[take.index(-1)].compact()
+        raise ValueError(f"label {foreign!r} is not in the order-{l} catalog")
     n = sys.dimension
     for name, idx in (("gamma", gamma), ("gamma_prime", gamma_prime)):
         if not 0 <= idx < n:
@@ -329,12 +315,19 @@ def eval_closed_term(
     product = sys.g[path[0], path[1]]
     for step in range(1, l):
         product = product * sys.g[path[step], path[step + 1]]
-    which = match.positions(path)
-    stray = (product != 0.0) & (which < 0)
-    if match.whole and stray.any():
+    code = np.zeros(path.shape[1], dtype=np.intp)
+    for a, b in reversed(_pattern_pairs(l)):  # Horner: bit k is the k-th pair's equality
+        code += code
+        code += path[a] == path[b]
+    which = catalog._table[code]
+    coupled = product != 0.0
+    stray = coupled & (which < 0)
+    if len(set(take)) == catalog.count and stray.any():
         raise ValueError(f"path {path[:, np.argmax(stray)].tolist()} matches no order-{l} label")
-    keep = (product != 0.0) & (which >= 0)
-    values = np.zeros(match.signs.shape[0], dtype=np.complex128)
+    wanted = np.zeros(catalog.count + 1, dtype=bool)  # the last entry stands for -1: no label
+    wanted[take] = True
+    keep = coupled & wanted[which]
+    values = np.zeros(catalog.count, dtype=np.complex128)
     if keep.any():
         path, product, which = path[:, keep], product[keep], which[keep]
         nodes = np.sort(sys.energies_redivided[path], axis=0).T
@@ -346,8 +339,8 @@ def eval_closed_term(
             dd = _dd_value(nodes[first], t)[inverse]
         np.add.at(values, which, product * dd)
     if isinstance(label, TermLabel):
-        return complex(values[0])
-    return values[match.take]
+        return complex(values[take[0]])
+    return values[take]
 
 
 def split_t_power_parts(

@@ -14,7 +14,9 @@ which side goes first:
   paths of a benchmark ``terms`` job), and ``dd_exp`` on one of those sets;
 - ``terms.eval_closed_term`` for all 15 order-4 terms of the level pair
   (0, 1), on N = 5, 8, 12, 24 and 48 levels 0.2 apart with a dense
-  coupling of spectral norm 0.1;
+  coupling of spectral norm 0.1, and on the N = 5 and 12 systems the
+  single label ``nnn,nn,n`` (passed as a label, not a list) and the
+  partial request of every third label;
 - ``improved._improved_sum_grid`` for orders 0-3 with the default
   revisions, and the whole ``compare --order 3`` report through
   ``cli.main``, on nearest-neighbour chains of N = 12, 24 and 40 levels
@@ -133,6 +135,13 @@ def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
         out[f"order-4 terms N={n}"] = (
             lambda system=system: pkg.terms.eval_closed_term(system, labels, T, 0, 1)
         )
+        if n in (5, 12):
+            for kind, request in (("single", labels[-1]), ("partial", labels[::3])):
+                out[f"order-4 {kind} N={n}"] = (
+                    lambda system=system, request=request: pkg.terms.eval_closed_term(
+                        system, request, T, 0, 1
+                    )
+                )
     for n in (12, 24, 40):
         system, path = _chain_case(pkg, rng, workdir, n)
         for steps in (2, 101):

@@ -5,8 +5,10 @@ every coupling link with a drawn probability, so many paths have a zero
 coupling product.  Every path with a nonzero product must satisfy the
 equality constraints of exactly one catalog label, and the one-pass term
 evaluation must file it under that label.  A request's label matching is
-built once and reused, so a request of labels drawn with repeats, in any
-order, must give the per-label walk's values on every call.
+looked up in one table per catalog, so a request of labels drawn with
+repeats, in any order, must give the per-label walk's values on every
+call.  A coupling whose diagonal is kept (redivision skipped) puts equal
+neighbours on a path; such paths keep the label of their equality bits.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from perturbseries.terms import TermLabel, _matching, enumerate_catalog, eval_closed_term  # noqa: E402
+from perturbseries.terms import TermLabel, _pattern_pairs, enumerate_catalog, eval_closed_term  # noqa: E402
 
-from helpers import planted_system  # noqa: E402
+from perturbseries.model import SystemSpec, redivide  # noqa: E402
+
+from helpers import planted_system, random_hermitian  # noqa: E402
 from term_walk import _eval_term as walk_term  # noqa: E402
 
 #: Well-formed labels that no catalog holds (orders 3 and 4; every
@@ -72,7 +76,8 @@ def test_every_coupled_path_has_exactly_one_label(g):
             ]
         )
         assert np.all(matches.sum(axis=0) == 1), order
-        which = _matching(labels, enumerate_catalog(order)).positions(path)
+        code = sum((path[a] == path[b]) << k for k, (a, b) in enumerate(_pattern_pairs(order)))
+        which = enumerate_catalog(order)._table[code]
         assert np.array_equal(which, np.argmax(matches, axis=0)), order
 
 
@@ -96,3 +101,20 @@ def test_cached_label_matching_matches_the_walk(g, order, data):
         assert FOREIGN[order] not in catalog
         with pytest.raises(ValueError, match=f"not in the order-{order} catalog"):
             eval_closed_term(sys, [*labels, FOREIGN[order]], t, gamma, gamma_prime)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), t=st.floats(-6.0, 6.0))
+def test_kept_diagonal_matches_the_walk(n, seed, t):
+    rng = np.random.default_rng(seed)
+    h1 = random_hermitian(rng, n, 0.3)
+    spec = SystemSpec(energies=np.sort(rng.uniform(0.0, 2.0, size=n)), h1=h1)
+    sys = redivide(spec, enabled=False)
+    assert np.all(np.diag(sys.g) != 0.0)
+    gamma, gamma_prime = (int(k) for k in rng.integers(0, n, size=2))
+    for order in (2, 3, 4):
+        labels = enumerate_catalog(order).labels
+        ref = np.array([walk_term(sys, label, t, gamma, gamma_prime) for label in labels])
+        bound = 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+        got = eval_closed_term(sys, labels, t, gamma, gamma_prime)
+        assert np.all(np.abs(got - ref) <= bound), order

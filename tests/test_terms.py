@@ -19,6 +19,7 @@ from perturbseries.terms import (
     TermCatalog,
     TermLabel,
     _enumerate_by_rule,
+    _pattern_pairs,
     enumerate_catalog,
     eval_closed_term,
     split_t_power_parts,
@@ -83,6 +84,26 @@ def test_generated_catalog_matches_the_decision_tree(order):
 
 def test_generated_catalogs_are_cached():
     assert enumerate_catalog(3).labels is enumerate_catalog(3).labels
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_every_path_code_fits_exactly_one_label(order):
+    # A path's code sets bit k when its levels at the k-th pair at distance
+    # >= 2 are equal.  Every code, including those only paths with equal
+    # neighbours or inconsistent equalities produce, fits exactly one label's
+    # constraints, and the catalog's table holds that label.
+    catalog = enumerate_catalog(order)
+    bit = {pair: k for k, pair in enumerate(_pattern_pairs(order))}
+    codes = np.arange(1 << len(bit))
+    fits = np.array(
+        [
+            np.all([((codes >> bit[i, j]) & 1) == (kind == "c") for i, j, kind in label.constraints()], axis=0)
+            for label in catalog.labels
+        ]
+    )
+    assert np.all(fits.sum(axis=0) == 1)
+    assert np.array_equal(catalog._table, np.argmax(fits, axis=0))
+    assert not catalog._table.flags.writeable
 
 
 def test_catalog_rejects_out_of_range():
