@@ -56,7 +56,8 @@ from numpy.typing import NDArray
 
 from . import __version__
 from .ddkernel import _finite_time
-from .improved import _IMPROVED_MAX, _REVISION_MAX, GoldenRuleInput, golden_rule, revision_energies
+from .improved import _DEFAULT_G_ORDERS, _IMPROVED_MAX, _REVISION_MAX, GoldenRuleInput, golden_rule
+from .improved import _check_g_orders, _check_level, _shifted_energies, revision_energies
 
 # The grid forms keep the names of the per-call functions they batch, so a
 # caller that wraps those names still covers the same work.
@@ -110,16 +111,18 @@ class RunConfig:
 _NUMBER = frozenset({int, float})
 
 
-def _require_pair(entry: object, where: str) -> complex:
-    if type(entry) in _NUMBER:
-        return complex(float(entry), 0.0)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and _NUMBER.issuperset(map(type, entry))
-    ):
-        return complex(float(entry[0]), float(entry[1]))
-    raise ValueError(f"{where} must be a number or a [re, im] pair, got {entry!r}")
+def _floats(values: object, message: str) -> NDArray[np.float64]:
+    """A JSON list of numbers as float64; anything else raises ValueError(message).
+
+    Booleans, strings, nested lists and integers beyond the float range are
+    refused.
+    """
+    if isinstance(values, list) and _NUMBER.issuperset(map(type, values)):
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass
+    raise ValueError(message)
 
 
 def _spec_from_document(doc: object, source: str) -> SystemSpec:
@@ -131,40 +134,36 @@ def _spec_from_document(doc: object, source: str) -> SystemSpec:
     dim = doc["dimension"]
     if type(dim) is not int or dim < 1:
         raise ValueError(f"{source}: field 'dimension' must be a positive integer")
-    energies = doc["energies"]
-    if (
-        not isinstance(energies, list)
-        or len(energies) != dim
-        or not _NUMBER.issuperset(map(type, energies))
-    ):
-        raise ValueError(f"{source}: field 'energies' must be a list of {dim} numbers")
+    message = f"{source}: field 'energies' must be a list of {dim} numbers"
+    energies = _floats(doc["energies"], message)
+    if energies.shape[0] != dim:
+        raise ValueError(message)
     h1_raw = doc["h1"]
     if not isinstance(h1_raw, list) or len(h1_raw) != dim:
         raise ValueError(f"{source}: field 'h1' must be a {dim}x{dim} matrix")
-    entries: list[complex] = []
     for i, row in enumerate(h1_raw):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"{source}: field 'h1' row {i} must hold {dim} entries")
-        for j, entry in enumerate(row):
-            # JSON decodes a [re, im] pair of decimals to exactly this;
-            # anything else goes through the full check.
-            if (
-                type(entry) is list
-                and len(entry) == 2
-                and type(entry[0]) is float
-                and type(entry[1]) is float
-            ):
-                entries.append(complex(entry[0], entry[1]))
-            else:
-                entries.append(_require_pair(entry, f"{source}: h1[{i}][{j}]"))
-    h1 = np.array(entries, dtype=np.complex128).reshape(dim, dim)
-    scale = doc.get("coupling_scale", 1.0)
-    if type(scale) not in _NUMBER:
-        raise ValueError(f"{source}: field 'coupling_scale' must be a number")
+    # An entry is a [re, im] pair or a number x, read as [x, 0]; the 2N^2
+    # parts, row by row, are the float view of the complex matrix.
+    pairs = [
+        entry if type(entry) is list and len(entry) == 2 else (entry, 0.0)
+        for row in h1_raw
+        for entry in row
+    ]
+    try:
+        h1 = _floats([part for pair in pairs for part in pair], f"{source}: bad field 'h1'")
+    except ValueError:
+        for k, pair in enumerate(pairs):  # name the first bad entry
+            i, j = divmod(k, dim)
+            what = f"{source}: h1[{i}][{j}] must be a number or a [re, im] pair"
+            _floats(list(pair), f"{what}, got {h1_raw[i][j]!r}")
+        raise
+    message = f"{source}: field 'coupling_scale' must be a number"
     return SystemSpec(
-        energies=np.array(energies, dtype=np.float64),
-        h1=h1,
-        coupling_scale=float(scale),
+        energies=energies,
+        h1=h1.view(np.complex128).reshape(dim, dim),
+        coupling_scale=float(_floats([doc.get("coupling_scale", 1.0)], message)[0]),
     )
 
 
@@ -199,24 +198,20 @@ def _golden_block(doc: object, source: str) -> tuple[GoldenRuleInput, int]:
         if field not in block:
             raise ValueError(f"{source}: golden_rule is missing field {field!r}")
 
-    def _numbers(name: str) -> NDArray[np.float64]:
-        val = block[name]
-        if not isinstance(val, list) or not _NUMBER.issuperset(map(type, val)):
-            raise ValueError(f"{source}: golden_rule.{name} must be a list of numbers")
-        return np.array(val, dtype=np.float64)
-
-    duration = block["duration"]
-    if type(duration) not in _NUMBER:
-        raise ValueError(f"{source}: golden_rule.duration must be a number")
+    duration = _floats([block["duration"]], f"{source}: golden_rule.duration must be a number")
     for name in ("initial", "final"):
         idx = block[name]
         if type(idx) is not int or idx < 0:
             raise ValueError(f"{source}: golden_rule.{name} must be a non-negative integer")
+    grid, density, coupling = (
+        _floats(block[name], f"{source}: golden_rule.{name} must be a list of numbers")
+        for name in ("energy_grid", "density", "coupling_sq")
+    )
     inp = GoldenRuleInput(
-        energy_grid=_numbers("energy_grid"),
-        density_of_states=_numbers("density"),
-        coupling_profile=_numbers("coupling_sq"),
-        duration=float(duration),
+        energy_grid=grid,
+        density_of_states=density,
+        coupling_profile=coupling,
+        duration=float(duration[0]),
         initial_level=block["initial"],
     )
     return inp, block["final"]
@@ -233,12 +228,6 @@ def _load_system(cfg: RunConfig) -> tuple[SplitSystem, object]:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _check_levels(n: int, **levels: int) -> None:
-    for name, idx in levels.items():
-        if not 0 <= idx < n:
-            raise ValueError(f"{name} level {idx} outside 0..{n - 1}")
 
 
 def _write_report(path: str, lines: Iterable[str]) -> None:
@@ -283,7 +272,7 @@ _Report = tuple[dict[str, object], Sequence[str], Iterable[Sequence[object]]]
 def _run_evolve(cfg: RunConfig) -> _Report:
     sys_split, _ = _load_system(cfg)
     n = sys_split.dimension
-    _check_levels(n, initial=cfg.initial_level)
+    _check_level(sys_split, cfg.initial_level, "initial level")
     ts = cfg.time_grid()
     amps = _truncated_sum_grid(sys_split, cfg.order, ts)[:, :, cfg.initial_level]
     settings = _common_settings(cfg) | _grid_settings(cfg)
@@ -329,7 +318,8 @@ def _run_terms(cfg: RunConfig) -> _Report:
     if cfg.input_path is None or cfg.order > _EVAL_MAX:
         return settings, ("index", "label"), enumerate(labels)
     sys_split, _ = _load_system(cfg)
-    _check_levels(sys_split.dimension, initial=cfg.initial_level, final=cfg.final_level)
+    _check_level(sys_split, cfg.initial_level, "initial level")
+    _check_level(sys_split, cfg.final_level, "final level")
     settings |= _common_settings(cfg)
     settings |= {
         "time": _fmt(cfg.time),
@@ -363,7 +353,7 @@ def _run_two_state(cfg: RunConfig) -> _Report:
         h1=np.array([[0.0, cfg.v], [cfg.v, 0.0]], dtype=np.complex128),
     )
     sys_split = redivide(spec, tol_deg=cfg.tol_deg)
-    shifted = revision_energies(sys_split, 4).e_tilde((2, 3, 4))
+    shifted = revision_energies(sys_split, max(_DEFAULT_G_ORDERS)).e_tilde(_DEFAULT_G_ORDERS)
     ts = cfg.time_grid()
     settings = _grid_settings(cfg) | {
         "e1": _fmt(cfg.e1),
@@ -409,11 +399,8 @@ def _eigenvalues_by_level(solution: ExactSolution) -> NDArray[np.float64]:
 
 def _run_energies(cfg: RunConfig) -> _Report:
     sys_split, _ = _load_system(cfg)
-    orders = (2, 3, 4) if cfg.g_orders is None else cfg.g_orders
-    if orders:
-        shifted = revision_energies(sys_split, max(orders)).e_tilde(orders)
-    else:
-        shifted = sys_split.energies_redivided.copy()
+    orders = _DEFAULT_G_ORDERS if cfg.g_orders is None else cfg.g_orders
+    shifted = _shifted_energies(sys_split, orders)
     exact = _eigenvalues_by_level(diagonalize(sys_split))
     settings = _common_settings(cfg) | {
         "g-orders": ",".join(map(str, orders)) if orders else "none",
@@ -474,9 +461,12 @@ def _parse_g_orders(text: str | None) -> tuple[int, ...] | None:
             "--g-orders must be 'none', a comma list like '2,3,4', or a range like "
             f"'2..{_REVISION_MAX}'; got {text!r}"
         ) from exc
-    if len(set(orders)) != len(orders) or any(not 2 <= a <= _REVISION_MAX for a in orders):
-        raise ValueError(f"--g-orders entries must be distinct integers in 2..{_REVISION_MAX}")
-    return orders
+    try:
+        return _check_g_orders(orders)
+    except ValueError:
+        raise ValueError(
+            f"--g-orders entries must be distinct integers in 2..{_REVISION_MAX}"
+        ) from None
 
 
 class UsageError(Exception):
@@ -607,7 +597,7 @@ _COMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
         _Option(
             "--g-orders", "g_orders", str, None,
             f"Revision orders in the shifted energies: 'none', '2,3', or '2..{_REVISION_MAX}' "
-            "(default: 2,3,4).",
+            f"(default: {','.join(map(str, _DEFAULT_G_ORDERS))}).",
         ),
         _NO_REDIVISION,
         _TOL_DEG,

@@ -127,8 +127,8 @@ class RevisionEnergies:
                 raise ValueError(f"{name} must hold one value per level")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not 2 <= self.max_order <= 5:
-            raise ValueError("max_order must lie in 2..5")
+        if not 2 <= self.max_order <= _REVISION_MAX:
+            raise ValueError(f"max_order must lie in 2..{_REVISION_MAX}")
 
     @property
     def dimension(self) -> int:
@@ -136,24 +136,21 @@ class RevisionEnergies:
 
     def revision(self, order: int) -> NDArray[np.float64]:
         """The per-level revision array for one order in 2..max_order."""
-        if order not in (2, 3, 4, 5):
-            raise ValueError("revision order must lie in 2..5")
+        (order,) = _check_g_orders((order,))
         if order > self.max_order:
             raise ValueError(f"revision order {order} was not computed (max_order={self.max_order})")
-        return {2: self.g2, 3: self.g3, 4: self.g4, 5: self.g5}[order]
+        return getattr(self, f"g{order}")
 
-    def e_tilde(self, orders: Sequence[int] = (2, 3, 4, 5)) -> NDArray[np.float64]:
-        """Shifted level energies: E' plus the requested revision orders."""
-        chosen = tuple(orders)
-        if len(set(chosen)) != len(chosen):
-            raise ValueError("revision orders must not repeat")
+    def e_tilde(self, orders: Sequence[int] | None = None) -> NDArray[np.float64]:
+        """Shifted level energies: E' plus the given revision orders (default: 2..max_order)."""
+        chosen = range(2, self.max_order + 1) if orders is None else _check_g_orders(orders)
         out = self.energies.copy()
         for order in chosen:
             out += self.revision(order)
         return out
 
 
-def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
+def revision_energies(sys: SplitSystem, max_order: int = _REVISION_MAX) -> RevisionEnergies:
     """Compute the per-level revision hierarchy up to ``max_order``.
 
     The revision of order j is the Rayleigh-Schrodinger energy correction
@@ -167,8 +164,8 @@ def revision_energies(sys: SplitSystem, max_order: int = 5) -> RevisionEnergies:
     """
     if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
         raise TypeError("max_order must be an integer")
-    if not 2 <= max_order <= 5:
-        raise ValueError("max_order must lie in 2..5")
+    if not 2 <= max_order <= _REVISION_MAX:
+        raise ValueError(f"max_order must lie in 2..{_REVISION_MAX}")
     shifts, _ = _rayleigh_schrodinger(sys.energies_redivided, sys.g, max_order)
     return _revisions(sys, shifts, max_order)
 
@@ -183,13 +180,15 @@ def _revisions(
     why = "; the fourth- and fifth-order revision sums would divide by zero" if max_order >= 4 else ""
     # An order-m chain visits only levels within m // 2 couplings of gamma.
     _refuse_coupled_ties(sys.energies_redivided, sys.g, max_order // 2, diagonal=True, why=why)
-    levels = [shift[: sys.dimension] for shift in shifts[: max_order + 1]]
+    levels = [shift[: sys.dimension] for shift in shifts[2 : max_order + 1]]
+    uncomputed = [np.zeros(sys.dimension)] * (_REVISION_MAX - max_order)
     return RevisionEnergies(
         sys.energies_redivided,
         sys.diagonal_shift,
-        *[levels[j].real if j <= max_order else np.zeros(sys.dimension) for j in range(2, 6)],
+        *[v.real for v in levels],
+        *uncomputed,
         max_order=int(max_order),
-        imag_residual=max(float(np.max(np.abs(v.imag))) for v in levels[2:]),
+        imag_residual=max(float(np.max(np.abs(v.imag))) for v in levels),
     )
 
 
@@ -211,15 +210,24 @@ def _resolve_g_orders(order: int, g_orders: Sequence[int] | None) -> tuple[int, 
     return default if g_orders is None else _check_g_orders(g_orders)
 
 
+# The revisions in the shifted energies of the stationary and two-level forms.
+_DEFAULT_G_ORDERS = (2, 3, 4)
+
+
+def _shifted_energies(sys: SplitSystem, g_orders: Sequence[int]) -> NDArray[np.float64]:
+    """E' plus the revisions of the given orders; E' itself when there are none."""
+    chosen = _check_g_orders(g_orders)
+    if not chosen:
+        return sys.energies_redivided.copy()
+    return revision_energies(sys, max(chosen)).e_tilde(chosen)
+
+
 def _reduced_resolvents(e: NDArray[np.float64]) -> NDArray[np.float64]:
     """Inverse gaps q[k, j] = 1/(E'_k - E'_j), zero wherever the levels tie.
 
     Row k is the diagonal of Q_k, the reduced resolvent at the pole E'_k.
     """
-    diff = e[:, np.newaxis] - e[np.newaxis, :]
-    q = np.zeros(diff.shape)
-    np.divide(1.0, diff, out=q, where=diff != 0.0)
-    return q
+    return _ratio(1.0, e[:, np.newaxis] - e[np.newaxis, :])
 
 
 def _tie_pattern(e: NDArray[np.float64]) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
@@ -480,7 +488,7 @@ def _transition_probabilities(
     if omega == 0.0:
         raise ValueError("transition pair is exactly degenerate")
     if shifted is None:
-        shifted = revision_energies(sys, 4).e_tilde((2, 3, 4))
+        shifted = _shifted_energies(sys, _DEFAULT_G_ORDERS)
     omega_shifted = float(shifted[gamma] - shifted[beta])
     gsq = float(abs(sys.g[gamma, beta]) ** 2)
     half = 0.5 * omega
@@ -682,7 +690,7 @@ def improved_perturbed_energy(
     sys: SplitSystem,
     level: int,
     *,
-    g_orders: Sequence[int] = (2, 3, 4),
+    g_orders: Sequence[int] = _DEFAULT_G_ORDERS,
 ) -> dict[str, float]:
     """Stationary perturbed energy of one level in the improved scheme.
 
@@ -691,11 +699,7 @@ def improved_perturbed_energy(
     would produce are already inside the shift.
     """
     beta = _check_level(sys, level, "level")
-    chosen = _check_g_orders(g_orders)
-    if chosen:
-        e0 = float(revision_energies(sys, max(chosen)).e_tilde(chosen)[beta])
-    else:
-        e0 = float(sys.energies_redivided[beta])
+    e0 = float(_shifted_energies(sys, g_orders)[beta])
     return {"e0": e0, "e1": 0.0, "e2": 0.0, "e_total": e0}
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .ddkernel import _dd_value, _finite_time
-from .improved import _projector_sum, _projector_weights, _rayleigh_schrodinger
+from .improved import _check_level, _projector_sum, _projector_weights, _rayleigh_schrodinger
 from .model import SplitSystem, _refuse_coupled_ties
 
 __all__ = [
@@ -305,9 +305,8 @@ def eval_closed_term(
         foreign = labels[take.index(-1)].compact()
         raise ValueError(f"label {foreign!r} is not in the order-{l} catalog")
     n = sys.dimension
-    for name, idx in (("gamma", gamma), ("gamma_prime", gamma_prime)):
-        if not 0 <= idx < n:
-            raise ValueError(f"{name} {idx} outside 0..{n - 1}")
+    gamma = _check_level(sys, gamma, "gamma")
+    gamma_prime = _check_level(sys, gamma_prime, "gamma_prime")
     t = _finite_time(t)
 
     path = np.empty((l + 1, n ** (l - 1)), dtype=np.intp)

@@ -25,7 +25,10 @@ which side goes first:
   apart with a dense coupling of spectral norm 0.1;
 - the improved grid and the compare report on chains of N = 32 and 36 at
   2 times, the benchmark's other chain lengths, and the improved grid on
-  a chain of N = 40 at 1,001 times in [20, 40].
+  a chain of N = 40 at 1,001 times in [20, 40];
+- ``cli._spec_from_document`` on two decoded benchmark system files (seed
+  1, first variant): the N = 24 system of the reports-mixed ``energies``
+  job and an N = 40 chain of compare-chain.
 
 For each case it prints the fastest and the median round of each side in
 milliseconds, the rounds in which SRC_B was faster, and the largest
@@ -53,6 +56,7 @@ from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 ROUNDS = 15
 #: Each round of a case runs it back to back for at least this long.
 ROUND_S = 0.02
@@ -159,7 +163,26 @@ def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
     system = pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
     ts = np.linspace(20.0, 40.0, 1001)
     out["improved N=40 T=1001"] = lambda: pkg.improved._improved_sum_grid(system, range(4), ts)
+    for name, slot, n in (("reports-mixed", 0, 24), ("compare-chain", -1, 40)):
+        doc = _benchmark_document(workdir, name, slot)
+        out[f"parse N={n}"] = lambda doc=doc: _parsed(pkg, doc)
     return out
+
+
+def _benchmark_document(workdir: Path, name: str, slot: int) -> dict:
+    """The decoded system file of the first variant of a benchmark job slot, seed 1."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    path = workloads.Workload(name, 1, workdir / name).slots[slot][0]["path"]
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _parsed(pkg: SimpleNamespace, doc: dict) -> np.ndarray:
+    spec = pkg.cli._spec_from_document(doc, "system.json")
+    return np.concatenate([spec.energies, spec.h1.ravel()])
 
 
 def _round(call: object, number: int) -> float:

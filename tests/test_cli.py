@@ -529,6 +529,13 @@ def test_golden_rule_command_missing_block(tmp_path, runner):
         ("initial", -1, "golden_rule.initial must be a non-negative integer"),
         ("final", 1.5, "golden_rule.final must be a non-negative integer"),
         (None, [1, 2], "'golden_rule' must be a JSON object"),
+        pytest.param(
+            "energy_grid", [-5.0, 10**400, 5.0], "golden_rule.energy_grid must be a list of numbers",
+            id="energy_grid-400-digit-int",
+        ),
+        pytest.param(
+            "duration", 10**400, "golden_rule.duration must be a number", id="duration-400-digit-int"
+        ),
     ],
 )
 def test_golden_rule_block_refuses_a_bad_field(tmp_path, runner, field, value, message):
@@ -544,6 +551,32 @@ def test_golden_rule_block_refuses_a_bad_field(tmp_path, runner, field, value, m
     result = runner.invoke(main, ["golden-rule", "--input", str(inp), "--output", str(out)])
     assert result.exit_code == 1, result.output
     assert f"{inp}: {message}" in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["rate.json"]
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("energies", [0.0, 10**400, 12.0], "field 'energies' must be a list of 3 numbers"),
+        ("h1", [[10**400, 0.0, 0.08]], "h1[0][0] must be a number or a [re, im] pair, got 10"),
+        ("h1", [[0.0, [0.0, 10**400], 0.08]], "h1[0][1] must be a number or a [re, im] pair"),
+        ("coupling_scale", 10**400, "field 'coupling_scale' must be a number"),
+    ],
+    ids=["energies", "h1-number", "h1-pair-part", "coupling_scale"],
+)
+def test_system_file_refuses_an_integer_beyond_float_range(tmp_path, runner, field, value, message):
+    # such a literal once escaped the input checks as an OverflowError traceback
+    doc = golden_rule_document()
+    if field == "h1":
+        doc["h1"][: len(value)] = value
+    else:
+        doc[field] = value
+    inp = tmp_path / "rate.json"
+    inp.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "rate.csv"
+    result = runner.invoke(main, ["golden-rule", "--input", str(inp), "--output", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"Error: {inp}: {message}")
     assert [p.name for p in tmp_path.iterdir()] == ["rate.json"]
 
 

@@ -152,6 +152,21 @@ def test_e_tilde_composition(rng):
         rev.e_tilde((2, 2))
 
 
+@pytest.mark.parametrize("max_order", [2, 3, 4, 5])
+def test_e_tilde_defaults_to_every_computed_order(rng, max_order):
+    # the default once named order 5 whatever max_order was computed
+    rev = revision_energies(random_system(rng, 4), max_order)
+    assert rev.e_tilde().tobytes() == rev.e_tilde(range(2, max_order + 1)).tobytes()
+
+
+@pytest.mark.parametrize("order", [2.0, np.float64(3.0), True])
+def test_revision_order_must_be_an_integer(rng, order):
+    # 2.0 once returned the order-2 revision
+    rev = revision_energies(random_system(rng, 3))
+    with pytest.raises(TypeError, match="revision orders must be integers"):
+        rev.revision(order)
+
+
 def test_revision_energies_argument_checks(rng):
     sys = random_system(rng, 3)
     with pytest.raises(TypeError, match="must be an integer"):

@@ -240,6 +240,13 @@ def test_eval_rejects_bad_levels():
         eval_closed_term(sys, TermLabel.parse("c"), 1.0, 0, -1)
 
 
+@pytest.mark.parametrize("levels", [(True, 0), (1.0, 0), (0, np.float64(1.0))])
+def test_eval_refuses_non_integer_levels(levels):
+    # True and 1.0 were once read as level 1
+    with pytest.raises(TypeError, match="must be an integer level index"):
+        eval_closed_term(two_state(), TermLabel.parse("c"), 1.0, *levels)
+
+
 def _chain_with_decoupled_tie(n: int):
     """Nearest-neighbour chain (every other coupling exactly zero) whose last
     level sits exactly on the first; from n = 3 on the two are not coupled."""
