@@ -137,17 +137,20 @@ class RevisionEnergies:
     def revision(self, order: int) -> NDArray[np.float64]:
         """The per-level revision array for one order in 2..max_order."""
         (order,) = _check_g_orders((order,))
-        if order > self.max_order:
-            raise ValueError(f"revision order {order} was not computed (max_order={self.max_order})")
-        return getattr(self, f"g{order}")
+        return self._computed(order)
 
     def e_tilde(self, orders: Sequence[int] | None = None) -> NDArray[np.float64]:
         """Shifted level energies: E' plus the given revision orders (default: 2..max_order)."""
         chosen = range(2, self.max_order + 1) if orders is None else _check_g_orders(orders)
         out = self.energies.copy()
         for order in chosen:
-            out += self.revision(order)
+            out += self._computed(order)
         return out
+
+    def _computed(self, order: int) -> NDArray[np.float64]:
+        if order > self.max_order:
+            raise ValueError(f"revision order {order} was not computed (max_order={self.max_order})")
+        return getattr(self, f"g{order}")
 
 
 def revision_energies(sys: SplitSystem, max_order: int = _REVISION_MAX) -> RevisionEnergies:
