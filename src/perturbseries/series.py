@@ -63,9 +63,7 @@ class AmplitudeMatrix:
 
 def _amplitude_blocks(sys: SplitSystem, L: int, ts: NDArray[np.float64]) -> NDArray[np.complex128]:
     """Amplitude matrices of orders 0..L at each time, shape (L + 1, T, N, N)."""
-    energies = np.asarray(sys.energies_redivided, dtype=np.float64)
-    g = np.asarray(sys.g, dtype=np.complex128)
-    return _dd_value(energies, g, L, np.asarray(ts, dtype=np.float64))
+    return _dd_value(sys.energies_redivided, sys.g, L, np.asarray(ts, dtype=np.float64))
 
 
 def _check_order(l: int) -> None:

@@ -59,6 +59,12 @@ _EVAL_MAX = 4
 _KNOWN_COUNTS = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
 
+def _check_order(l: int) -> int:
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+        raise TypeError(f"order must be an integer, got {l!r}")
+    return int(l)
+
+
 @dataclass(frozen=True)
 class TermLabel:
     """Equality pattern of one decomposition term.
@@ -73,7 +79,7 @@ class TermLabel:
     groups: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        l = int(self.order)
+        l = _check_order(self.order)
         groups = tuple(str(gr) for gr in self.groups)
         object.__setattr__(self, "order", l)
         object.__setattr__(self, "groups", groups)
@@ -95,15 +101,6 @@ class TermLabel:
             raise ValueError(f"first group may not contain 'k': {groups[0]!r}")
         if len(groups) > 1 and set(groups[-1]) == {"k"}:
             raise ValueError(f"trailing all-'k' group in {groups!r} (not canonical)")
-        # Labels key the catalog's index: hash once, not on every lookup.
-        object.__setattr__(self, "_hash", hash((l, groups)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple[type, tuple[int, tuple[str, ...]]]:
-        # Rebuild from the fields: a string hash differs between processes.
-        return (TermLabel, (self.order, self.groups))
 
     @classmethod
     def parse(cls, text: str, order: int | None = None) -> "TermLabel":
@@ -117,7 +114,7 @@ class TermLabel:
         if not raw or not raw[0]:
             raise ValueError(f"empty label text: {text!r}")
         inferred = len(raw[0]) + 1
-        l = inferred if order is None else int(order)
+        l = inferred if order is None else _check_order(order)
         if l != inferred:
             raise ValueError(
                 f"label {text!r} implies order {inferred}, but order={order} was requested"
@@ -145,12 +142,8 @@ class TermLabel:
 
     def constraints(self) -> list[tuple[int, int, str]]:
         """Flat list of (i, j, kind) with kind 'c'/'n' on path positions i < j."""
-        out: list[tuple[int, int, str]] = []
-        for row, group in enumerate(self.groups, start=1):
-            for k, ch in enumerate(group):
-                if ch != "k":
-                    out.append((k, k + row + 1, ch))
-        return out
+        marks = "".join(self.groups)
+        return [(i, j, ch) for (i, j), ch in zip(_pattern_pairs(self.order), marks) if ch != "k"]
 
 
 @dataclass(frozen=True)
@@ -165,12 +158,7 @@ class TermCatalog:
         return len(self.labels)
 
     def compact_strings(self) -> list[str]:
-        return list(self._compact)
-
-    @cached_property
-    def _compact(self) -> tuple[str, ...]:
-        # formatted once: enumerate_catalog returns one catalog per order
-        return tuple(label.compact() for label in self.labels)
+        return [label.compact() for label in self.labels]
 
     @cached_property
     def _index(self) -> dict[TermLabel, int]:
@@ -212,7 +200,6 @@ def _pattern_pairs(l: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, k + row + 1) for row in range(1, l) for k in range(l - row))
 
 
-@lru_cache(maxsize=None)
 def _enumerate_by_rule(l: int) -> tuple[TermLabel, ...]:
     """The order-l catalog generated from its definition.
 
@@ -242,7 +229,6 @@ def _enumerate_by_rule(l: int) -> tuple[TermLabel, ...]:
     return tuple(labels)
 
 
-@lru_cache(maxsize=None)
 def _load_fixture(l: int) -> tuple[TermLabel, ...]:
     path = resources.files("perturbseries").joinpath(f"_fixtures/catalog_l{l}.txt")
     labels: list[TermLabel] = []
@@ -264,13 +250,14 @@ def _load_fixture(l: int) -> tuple[TermLabel, ...]:
     return tuple(labels)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find the catalog of 4
 def enumerate_catalog(l: int) -> TermCatalog:
     """All decomposition term labels of order l (2 <= l <= 6).
 
     Orders 4..6 come from the shipped reference lists; orders 2 and 3 are
     generated from the definition, which is exact there.
     """
+    l = _check_order(l)
     if not _CATALOG_MIN <= l <= _CATALOG_MAX:
         raise ValueError(f"catalog available for orders {_CATALOG_MIN}..{_CATALOG_MAX}, got {l}")
     if l <= 3:
@@ -365,10 +352,10 @@ def split_t_power_parts(
     coupling left by skipping redivision) would need t-powers above 2 and
     is refused.
     """
+    l = _check_order(l)
     if not 2 <= l <= _EVAL_MAX:
         raise ValueError(f"t-power split supports orders 2..{_EVAL_MAX}, got {l}")
-    energies = np.asarray(sys.energies_redivided, dtype=np.float64)
-    g = np.asarray(sys.g, dtype=np.complex128)
+    energies, g = sys.energies_redivided, sys.g
     t = _finite_time(t)
     if l >= 3:
         _refuse_coupled_ties(

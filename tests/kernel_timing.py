@@ -28,7 +28,10 @@ which side goes first:
   a chain of N = 40 at 1,001 times in [20, 40];
 - ``cli._spec_from_document`` on two decoded benchmark system files (seed
   1, first variant): the N = 24 system of the reports-mixed ``energies``
-  job and an N = 40 chain of compare-chain.
+  job and an N = 40 chain of compare-chain;
+- two reports through ``cli.main``: the order-6 catalog listing, and the
+  order-4 ``terms`` report of the reports-mixed ``terms`` job (seed 1,
+  first variant, N = 5, its level pair) at time T.
 
 For each case it prints the fastest and the median round of each side in
 milliseconds, the rounds in which SRC_B was faster, and the largest
@@ -44,6 +47,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import csv  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
@@ -92,13 +96,32 @@ def _chain(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     return energies, np.diag(hop, 1) + np.diag(hop.conj(), -1)
 
 
+def _report_values(out: Path, first: int) -> np.ndarray:
+    """The numbers of a report's columns from ``first`` on."""
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(cell) for cell in row[first:]] for row in csv.reader(lines[1:])])
+
+
 def _compare_report(pkg: SimpleNamespace, path: Path, steps: int) -> np.ndarray:
     out = path.with_suffix(f".{steps}.csv")
     argv = ["compare", "--input", str(path), "--output", str(out), "--order", "3",
             "--t-start", "20", "--t-end", "40", "--t-steps", str(steps)]
     pkg.cli.main(argv, standalone_mode=False)
-    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-    return np.array([[float(cell) for cell in line.split(",")[1:]] for line in lines[1:]])
+    return _report_values(out, 1)
+
+
+def _catalog_report(pkg: SimpleNamespace, out: Path) -> np.ndarray:
+    """The order-6 catalog listing, byte by byte."""
+    pkg.cli.main(["terms", "--output", str(out), "--order", "6"], standalone_mode=False)
+    return np.frombuffer(out.read_bytes(), dtype=np.uint8).astype(float)
+
+
+def _terms_report(pkg: SimpleNamespace, job: dict) -> np.ndarray:
+    out = job["path"].with_suffix(".terms.csv")
+    argv = ["terms", "--input", str(job["path"]), "--output", str(out), "--order", str(job["order"]),
+            "--time", repr(T), "--from-level", str(job["levels"][0]), "--to-level", str(job["levels"][1])]
+    pkg.cli.main(argv, standalone_mode=False)
+    return _report_values(out, 2)
 
 
 def _chain_case(
@@ -164,20 +187,22 @@ def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
     ts = np.linspace(20.0, 40.0, 1001)
     out["improved N=40 T=1001"] = lambda: pkg.improved._improved_sum_grid(system, range(4), ts)
     for name, slot, n in (("reports-mixed", 0, 24), ("compare-chain", -1, 40)):
-        doc = _benchmark_document(workdir, name, slot)
+        doc = json.loads(_benchmark_job(workdir, name, slot)["path"].read_text(encoding="utf-8"))
         out[f"parse N={n}"] = lambda doc=doc: _parsed(pkg, doc)
+    out["catalog report l=6"] = lambda: _catalog_report(pkg, workdir / "catalog6.csv")
+    job = _benchmark_job(workdir, "reports-mixed", 3)
+    out["terms report N=5"] = lambda: _terms_report(pkg, job)
     return out
 
 
-def _benchmark_document(workdir: Path, name: str, slot: int) -> dict:
-    """The decoded system file of the first variant of a benchmark job slot, seed 1."""
+def _benchmark_job(workdir: Path, name: str, slot: int) -> dict:
+    """The first variant of a benchmark job slot, seed 1, with its system file written."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    path = workloads.Workload(name, 1, workdir / name).slots[slot][0]["path"]
-    return json.loads(path.read_text(encoding="utf-8"))
+    return workloads.Workload(name, 1, workdir / name).slots[slot][0]
 
 
 def _parsed(pkg: SimpleNamespace, doc: dict) -> np.ndarray:

@@ -953,6 +953,7 @@ def test_usage_errors_exit_2_and_write_nothing(in_fixture_dir, runner, command, 
         ("two-state --t-end -inf", "--t-end must be a finite number, got -inf"),
         ("compare --g-orders 2,9", "--g-orders entries must be distinct integers in 2..5"),
         ("energies --g-orders two", "--g-orders must be 'none', a comma list"),
+        ("evolve --output missing/out.csv", "[Errno 2] No such file or directory: 'missing/out.csv.tmp'"),
     ],
 )
 def test_refused_input_exits_1_and_writes_nothing(in_fixture_dir, runner, line, message):
@@ -961,6 +962,53 @@ def test_refused_input_exits_1_and_writes_nothing(in_fixture_dir, runner, line, 
     assert result.exit_code == 1, result.output
     assert result.output.startswith(f"Error: {message}")
     assert os.listdir() == ["sys.json"]
+
+
+def test_a_report_that_cannot_replace_its_target_leaves_no_temporary_file(in_fixture_dir, runner):
+    os.mkdir("out.csv")
+    result = runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"]])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: [Errno 21] Is a directory: 'out.csv.tmp' -> 'out.csv'")
+    assert sorted(os.listdir()) == ["out.csv", "sys.json"]
+    assert os.listdir("out.csv") == []
+
+
+def _non_finite(doc, *where):
+    *path, last = where
+    for key in path:
+        doc = doc[key]
+    doc[last] = math.nan
+
+
+def _grid_on_a_coupled_level(doc):
+    # grid energy 2.0 is level 2, which the final level 1 couples to
+    grid = np.linspace(-30.0, 30.0, 61)
+    doc["energies"] = [0.0, 1.0, 2.0]
+    doc["golden_rule"].update(
+        energy_grid=grid.tolist(), density=[0.7] * grid.size, coupling_sq=[0.001] * grid.size
+    )
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: _non_finite(doc, "h1", 0, 2), "perturbation matrix contains non-finite entries"),
+        (lambda doc: _non_finite(doc, "golden_rule", "energy_grid", 3), "energy grid must be finite"),
+        (lambda doc: _non_finite(doc, "golden_rule", "density", 3), "density_of_states must be finite"),
+        (lambda doc: _non_finite(doc, "golden_rule", "coupling_sq", 3), "coupling_profile must be finite"),
+        (_grid_on_a_coupled_level, "detuning grid hits an intermediate resonance"),
+    ],
+    ids=["h1", "energy_grid", "density", "coupling_sq", "resonance"],
+)
+def test_refused_system_values_exit_1_and_write_nothing(tmp_path, runner, edit, message):
+    doc = golden_rule_document()
+    edit(doc)
+    inp = tmp_path / "rate.json"
+    inp.write_text(json.dumps(doc), encoding="utf-8")  # NaN is written as the literal NaN
+    result = runner.invoke(main, ["golden-rule", "--input", str(inp), "--output", str(tmp_path / "rate.csv")])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"Error: {message}")
+    assert [p.name for p in tmp_path.iterdir()] == ["rate.json"]
 
 
 def test_programmatic_main_returns_or_raises_but_never_exits(in_fixture_dir, capsys):
@@ -1071,6 +1119,12 @@ def test_run_rejects_unknown_command(tmp_path):
         run(RunConfig(command="bogus", output_path=str(tmp_path / "x.csv")))
     with pytest.raises(ValueError, match="requires an output path"):
         run(RunConfig(command="terms", order=2))
+
+
+def test_run_refuses_a_command_without_its_input_file(tmp_path):
+    with pytest.raises(ValueError, match="^command 'evolve' requires an input file$"):
+        run(RunConfig(command="evolve", output_path=str(tmp_path / "x.csv")))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_config_time_grid_validation():

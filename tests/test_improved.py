@@ -191,6 +191,13 @@ def test_revision_energies_container_validation():
         )
 
 
+@pytest.mark.parametrize("max_order", [1, 6])
+def test_revision_energies_container_refuses_max_order_outside_2_to_5(max_order):
+    # built directly, the container checks what revision_energies checks first
+    with pytest.raises(ValueError, match="^max_order must lie in 2..5$"):
+        RevisionEnergies(np.zeros(2), *[np.zeros(2)] * 5, max_order=max_order, imag_residual=0.0)
+
+
 def test_degenerate_uncoupled_level_tolerated_through_third_order():
     # An exact tie is harmless while the tied level cannot reach the
     # reference level in the computed chains; the deeper orders refuse it.

@@ -113,6 +113,36 @@ def test_catalog_rejects_out_of_range():
         enumerate_catalog(7)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: TermLabel(order=2.9, groups=("c",)), id="label-2.9"),
+        pytest.param(lambda: TermLabel(order="3", groups=("cc",)), id="label-str"),
+        pytest.param(lambda: TermLabel(order=True, groups=("c",)), id="label-bool"),
+        pytest.param(lambda: TermLabel.parse("cc", order=3.0), id="parse-3.0"),
+        pytest.param(lambda: enumerate_catalog(4.0), id="catalog-4.0"),
+        pytest.param(lambda: enumerate_catalog(2.0), id="catalog-2.0"),
+        pytest.param(lambda: enumerate_catalog(True), id="catalog-bool"),
+        pytest.param(lambda: split_t_power_parts(two_state(), 3.0, 1.0), id="split-3.0"),
+        pytest.param(lambda: split_t_power_parts(two_state(), True, 1.0), id="split-bool"),
+    ],
+)
+def test_non_integer_orders_are_refused(call):
+    # 2.9 once made an order-2 label, 4.0 a missing fixture file and 3.0 a
+    # TypeError out of range(); 4.0 must not find a cached order-4 catalog
+    enumerate_catalog(2), enumerate_catalog(4)
+    with pytest.raises(TypeError, match="^order must be an integer, got "):
+        call()
+
+
+def test_numpy_integer_orders_are_accepted():
+    assert enumerate_catalog(np.int64(4)).labels == enumerate_catalog(4).labels
+    assert type(TermLabel(order=np.int32(3), groups=("cc",)).order) is int
+    sys = two_state()
+    parts = split_t_power_parts(sys, np.int64(3), 1.0)
+    assert all(np.array_equal(v, parts[k]) for k, v in split_t_power_parts(sys, 3, 1.0).items())
+
+
 def test_parse_round_trip_all_orders():
     for order in range(2, 7):
         for label in enumerate_catalog(order).labels:
