@@ -67,6 +67,13 @@ def _finite_time(t: float, name: str = "t") -> float:
     return value
 
 
+def _integer(value: object, message: str) -> int:
+    """``value`` as an int; a bool or anything but an int or numpy integer is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{message}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NodeList:
     """An ordered multiset of energy nodes together with the time argument."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .ddkernel import _CHUNK_BYTES, _finite_time
+from .ddkernel import _CHUNK_BYTES, _finite_time, _integer
 from .model import SplitSystem, _refuse_coupled_ties
 from .series import AmplitudeMatrix
 
@@ -127,8 +127,10 @@ class RevisionEnergies:
                 raise ValueError(f"{name} must hold one value per level")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not 2 <= self.max_order <= _REVISION_MAX:
+        max_order = _integer(self.max_order, "max_order must be an integer")
+        if not 2 <= max_order <= _REVISION_MAX:
             raise ValueError(f"max_order must lie in 2..{_REVISION_MAX}")
+        object.__setattr__(self, "max_order", max_order)
 
     @property
     def dimension(self) -> int:
@@ -165,8 +167,7 @@ def revision_energies(sys: SplitSystem, max_order: int = _REVISION_MAX) -> Revis
     orders are real for a Hermitian coupling; the tiny imaginary round-off
     discarded is reported in ``imag_residual``.
     """
-    if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
-        raise TypeError("max_order must be an integer")
+    max_order = _integer(max_order, "max_order must be an integer")
     if not 2 <= max_order <= _REVISION_MAX:
         raise ValueError(f"max_order must lie in 2..{_REVISION_MAX}")
     shifts, _ = _rayleigh_schrodinger(sys.energies_redivided, sys.g, max_order)
@@ -190,22 +191,19 @@ def _revisions(
         sys.diagonal_shift,
         *[v.real for v in levels],
         *uncomputed,
-        max_order=int(max_order),
+        max_order=max_order,
         imag_residual=max(float(np.max(np.abs(v.imag))) for v in levels),
     )
 
 
 def _check_g_orders(g_orders: Sequence[int]) -> tuple[int, ...]:
     """The revision orders as distinct ints in 2.._REVISION_MAX; anything else raises."""
-    chosen = tuple(g_orders)
-    for a in chosen:
-        if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-            raise TypeError(f"revision orders must be integers, got {a!r}")
-        if not 2 <= a <= _REVISION_MAX:
-            raise ValueError(f"revision orders must lie in 2..{_REVISION_MAX}")
+    chosen = tuple(_integer(a, "revision orders must be integers") for a in g_orders)
+    if not all(2 <= a <= _REVISION_MAX for a in chosen):
+        raise ValueError(f"revision orders must lie in 2..{_REVISION_MAX}")
     if len(set(chosen)) != len(chosen):
         raise ValueError("revision orders must not repeat")
-    return tuple(int(a) for a in chosen)
+    return chosen
 
 
 def _resolve_g_orders(order: int, g_orders: Sequence[int] | None) -> tuple[int, ...]:
@@ -417,6 +415,9 @@ def _improved_sum_grid(
     ``_projector_sum`` forms the amplitudes, with one product per chunk of
     times over the pairs i, j >= 1.
     """
+    orders = [_integer(l, "order must be an integer") for l in orders]
+    if not all(0 <= l <= _IMPROVED_MAX for l in orders):
+        raise ValueError(f"improved amplitudes are available for orders 0..{_IMPROVED_MAX}")
     chosen = [_resolve_g_orders(l, g_orders) for l in orders]
     e = sys.energies_redivided
     top = max(orders)
@@ -427,9 +428,10 @@ def _improved_sum_grid(
     # Phases and revisions are per level, so no tie may sit on an amplitude's chain.
     _refuse_coupled_ties(e, sys.g, top, diagonal=top >= 2)
     pattern, left, right, weights = _projector_weights(e, shifts, states, top, 1)
-    levels = np.array([revisions.e_tilde(c) if c else e for c in chosen])[:, pattern[0]]
-    phases = np.exp(-1j * (ts[:, np.newaxis, np.newaxis] * levels))
-    coefficients = np.einsum("tok,osk->tsk", phases, weights[0][list(orders)])
+    # E' plus each order's revisions in list order, as ``e_tilde`` adds them
+    levels = np.array([sum((revisions._computed(j) for j in c), e) for c in chosen])
+    phases = np.exp(-1j * (ts[:, np.newaxis, np.newaxis] * levels[:, pattern[0]]))
+    coefficients = np.einsum("tok,osk->tsk", phases, weights[0][orders])
     return _projector_sum(pattern, left, right, coefficients)
 
 
@@ -452,21 +454,16 @@ def improved_amplitude(
     sequence turns the scheme off, which reproduces the non-secular part
     of the plain truncated series).
     """
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise TypeError("order must be an integer")
-    if not 0 <= order <= _IMPROVED_MAX:
-        raise ValueError(f"improved amplitudes are available for orders 0..{_IMPROVED_MAX}")
     tt = _finite_time(t)
-    values = _improved_sum_grid(sys, (int(order),), np.array([tt]), g_orders)[0]
-    return AmplitudeMatrix(order=int(order), t=tt, values=values)
+    values = _improved_sum_grid(sys, (order,), np.array([tt]), g_orders)[0]
+    return AmplitudeMatrix(order=order, t=tt, values=values)
 
 
 def _check_level(sys: SplitSystem, level: int, name: str) -> int:
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer level index")
+    level = _integer(level, f"{name} must be an integer level index")
     if not 0 <= level < sys.dimension:
         raise ValueError(f"{name} {level} outside 0..{sys.dimension - 1}")
-    return int(level)
+    return level
 
 
 def _transition_probabilities(
@@ -561,9 +558,7 @@ class GoldenRuleInput:
         duration = float(self.duration)
         if not math.isfinite(duration) or duration <= 0.0:
             raise ValueError("duration must be a positive time")
-        level = self.initial_level
-        if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
-            raise TypeError("initial_level must be an integer index")
+        level = _integer(self.initial_level, "initial_level must be an integer index")
         if level < 0:
             raise ValueError("initial_level must be non-negative")
         for name, arr in (
@@ -574,7 +569,7 @@ class GoldenRuleInput:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "initial_level", int(level))
+        object.__setattr__(self, "initial_level", level)
 
     def density_at(self, energy: float) -> float:
         return float(np.interp(energy, self.energy_grid, self.density_of_states))

@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 # The kernel's batched entry point, bound to the name the scalar kernel had
 # here; perfbench/spans.py wraps ``series._dd_value`` as the ddkernel layer.
 from .ddkernel import _dd_blocks as _dd_value
-from .ddkernel import _finite_time
+from .ddkernel import _finite_time, _integer
 from .model import SplitSystem
 
 __all__ = [
@@ -53,8 +53,8 @@ class AmplitudeMatrix:
             raise ValueError(f"values must be a square matrix, got shape {vals.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "order", _integer(self.order, "order must be an integer"))
+        object.__setattr__(self, "t", _finite_time(self.t))
 
     @property
     def dimension(self) -> int:
@@ -66,11 +66,11 @@ def _amplitude_blocks(sys: SplitSystem, L: int, ts: NDArray[np.float64]) -> NDAr
     return _dd_value(sys.energies_redivided, sys.g, L, np.asarray(ts, dtype=np.float64))
 
 
-def _check_order(l: int) -> None:
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool):
-        raise ValueError(f"order must be an integer, got {l!r}")
+def _check_order(l: int) -> int:
+    l = _integer(l, "order must be an integer")
     if l < 0 or l > DEFAULT_L_MAX:
         raise ValueError(f"order {l} outside supported range 0..{DEFAULT_L_MAX}")
+    return l
 
 
 def amplitude_order(sys: SplitSystem, l: int, t: float) -> AmplitudeMatrix:
@@ -80,7 +80,7 @@ def amplitude_order(sys: SplitSystem, l: int, t: float) -> AmplitudeMatrix:
     divided difference of e^{-i*x*t} over the path energies times the
     product of coupling elements along the path.
     """
-    _check_order(l)
+    l = _check_order(l)
     t = _finite_time(t)
     values = _amplitude_blocks(sys, l, np.array([t]))[l, 0]
     return AmplitudeMatrix(order=l, t=t, values=values)
@@ -94,4 +94,4 @@ def _truncated_sum_grid(
     Internal helper for grid consumers (the command-line front end): all times
     go through one batched block exponential.
     """
-    return _amplitude_blocks(sys, L, ts).sum(axis=0)
+    return _amplitude_blocks(sys, _check_order(L), ts).sum(axis=0)

@@ -39,7 +39,7 @@ from importlib import resources
 import numpy as np
 from numpy.typing import NDArray
 
-from .ddkernel import _dd_value, _finite_time
+from .ddkernel import _dd_value, _finite_time, _integer
 from .improved import _check_level, _projector_sum, _projector_weights, _rayleigh_schrodinger
 from .model import SplitSystem, _refuse_coupled_ties
 
@@ -59,12 +59,6 @@ _EVAL_MAX = 4
 _KNOWN_COUNTS = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
 
-def _check_order(l: int) -> int:
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-        raise TypeError(f"order must be an integer, got {l!r}")
-    return int(l)
-
-
 @dataclass(frozen=True)
 class TermLabel:
     """Equality pattern of one decomposition term.
@@ -79,7 +73,7 @@ class TermLabel:
     groups: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        l = _check_order(self.order)
+        l = _integer(self.order, "order must be an integer")
         groups = tuple(str(gr) for gr in self.groups)
         object.__setattr__(self, "order", l)
         object.__setattr__(self, "groups", groups)
@@ -114,7 +108,7 @@ class TermLabel:
         if not raw or not raw[0]:
             raise ValueError(f"empty label text: {text!r}")
         inferred = len(raw[0]) + 1
-        l = inferred if order is None else _check_order(order)
+        l = inferred if order is None else _integer(order, "order must be an integer")
         if l != inferred:
             raise ValueError(
                 f"label {text!r} implies order {inferred}, but order={order} was requested"
@@ -257,7 +251,7 @@ def enumerate_catalog(l: int) -> TermCatalog:
     Orders 4..6 come from the shipped reference lists; orders 2 and 3 are
     generated from the definition, which is exact there.
     """
-    l = _check_order(l)
+    l = _integer(l, "order must be an integer")
     if not _CATALOG_MIN <= l <= _CATALOG_MAX:
         raise ValueError(f"catalog available for orders {_CATALOG_MIN}..{_CATALOG_MAX}, got {l}")
     if l <= 3:
@@ -352,7 +346,7 @@ def split_t_power_parts(
     coupling left by skipping redivision) would need t-powers above 2 and
     is refused.
     """
-    l = _check_order(l)
+    l = _integer(l, "order must be an integer")
     if not 2 <= l <= _EVAL_MAX:
         raise ValueError(f"t-power split supports orders 2..{_EVAL_MAX}, got {l}")
     energies, g = sys.energies_redivided, sys.g

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -941,6 +942,26 @@ def test_usage_errors_exit_2_and_write_nothing(in_fixture_dir, runner, command, 
     assert result.exit_code == 2, result.output
     assert result.output.startswith("usage: perturbseries")
     assert "error: " in result.output
+    assert os.listdir() == ["sys.json"]
+
+
+def _run_config_cases():
+    for command, cases in _OUT_OF_RANGE.items():
+        for flag, value in cases:
+            yield pytest.param(command, flag, value, id=f"{command} {flag} {value}")
+
+
+@pytest.mark.parametrize("command,flag,value", _run_config_cases())
+def test_run_refuses_what_the_command_line_refuses(
+    in_fixture_dir, runner, monkeypatch, command, flag, value
+):
+    # the config the valid command line builds, with the option's field set past its range
+    seen = []
+    monkeypatch.setattr("perturbseries.cli.run", seen.append)
+    assert runner.invoke(main, [command, *_VALID_ARGV[command]]).exit_code == 0
+    (dest,) = [opt.dest for opt in _COMMANDS[command][1] if opt.flag == flag]
+    with pytest.raises(ValueError):
+        run(dataclasses.replace(seen[0], **{dest: int(value)}))
     assert os.listdir() == ["sys.json"]
 
 

@@ -13,6 +13,7 @@ from perturbseries.cli import main
 from perturbseries.improved import (
     GoldenRuleInput,
     RevisionEnergies,
+    _improved_sum_grid,
     golden_rule,
     improved_amplitude,
     improved_perturbed_energy,
@@ -191,10 +192,18 @@ def test_revision_energies_container_validation():
         )
 
 
-@pytest.mark.parametrize("max_order", [1, 6])
-def test_revision_energies_container_refuses_max_order_outside_2_to_5(max_order):
+@pytest.mark.parametrize(
+    "max_order,error,message",
+    [
+        (1, ValueError, "^max_order must lie in 2..5$"),
+        (6, ValueError, "^max_order must lie in 2..5$"),
+        (2.5, TypeError, "^max_order must be an integer, got 2.5$"),
+    ],
+    ids=["1", "6", "2.5"],
+)
+def test_revision_energies_container_refuses_max_order_outside_2_to_5(max_order, error, message):
     # built directly, the container checks what revision_energies checks first
-    with pytest.raises(ValueError, match="^max_order must lie in 2..5$"):
+    with pytest.raises(error, match=message):
         RevisionEnergies(np.zeros(2), *[np.zeros(2)] * 5, max_order=max_order, imag_residual=0.0)
 
 
@@ -410,6 +419,11 @@ def test_improved_amplitude_argument_checks(rng):
         improved_amplitude(sys, 1.0, 1.0)
     with pytest.raises(TypeError, match="must be an integer"):
         improved_amplitude(sys, True, 1.0)
+    # the grid route that compare runs checks every requested order
+    with pytest.raises(ValueError, match="orders 0..3"):
+        _improved_sum_grid(sys, (4,), np.array([1.0]))
+    with pytest.raises(TypeError, match="^order must be an integer, got 2.0$"):
+        _improved_sum_grid(sys, (2.0,), np.array([1.0]))
     with pytest.raises(ValueError, match="must lie in 2..5"):
         improved_amplitude(sys, 1, 1.0, g_orders=(1,))
     with pytest.raises(ValueError, match="must not repeat"):

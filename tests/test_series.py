@@ -230,10 +230,16 @@ def test_order_validation(rng):
         amplitude_order(sys, 7, 1.0)
     with pytest.raises(ValueError, match="outside supported range"):
         amplitude_order(sys, -1, 1.0)
-    with pytest.raises(ValueError, match="must be an integer"):
+    # the grid route that evolve and compare run keeps the same cap
+    for L in (-1, 7):
+        with pytest.raises(ValueError, match=f"^order {L} outside supported range 0..6$"):
+            _truncated_sum_grid(sys, L, np.array([1.0]))
+    with pytest.raises(TypeError, match="must be an integer"):
         amplitude_order(sys, 2.0, 1.0)
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(TypeError, match="must be an integer"):
         amplitude_order(sys, True, 1.0)
+    with pytest.raises(TypeError, match="^order must be an integer, got '2'$"):
+        amplitude_order(sys, "2", 1.0)
 
 
 def test_amplitude_blocks_reach_past_the_order_cap(rng):
@@ -247,6 +253,13 @@ def test_amplitude_blocks_reach_past_the_order_cap(rng):
 def test_amplitude_matrix_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         AmplitudeMatrix(order=1, t=0.0, values=np.zeros((2, 3)))
+
+
+def test_amplitude_matrix_refuses_a_fractional_order_and_a_non_finite_time():
+    with pytest.raises(TypeError, match="^order must be an integer, got 2.9$"):
+        AmplitudeMatrix(order=2.9, t=0.0, values=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^t must be a finite number, got nan$"):
+        AmplitudeMatrix(order=2, t=float("nan"), values=np.zeros((2, 2)))
 
 
 def test_returned_values_are_frozen(rng):
