@@ -55,7 +55,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
-from .ddkernel import _finite_time
+from .ddkernel import _finite_time, _integer
 from .improved import _DEFAULT_G_ORDERS, _IMPROVED_MAX, _REVISION_MAX, GoldenRuleInput, golden_rule
 from .improved import _check_g_orders, _check_level, _shifted_energies, revision_energies
 
@@ -102,9 +102,10 @@ class RunConfig:
     v: float = 0.1
 
     def time_grid(self) -> NDArray[np.float64]:
-        if self.t_steps < 1:
+        steps = _integer(self.t_steps, "t_steps must be an integer")
+        if steps < 1:
             raise ValueError("time grid needs at least one point")
-        return np.linspace(self.t_start, self.t_end, self.t_steps)
+        return np.linspace(self.t_start, self.t_end, steps)
 
 
 # Python's JSON decoder gives a number exactly this type; bool is neither.

@@ -74,6 +74,16 @@ def _integer(value: object, message: str) -> int:
     return int(value)
 
 
+def _read_only(record: object, name: str, dtype: type, *, at_least_1d: bool = False) -> NDArray:
+    """Store a read-only copy of field ``name`` of the frozen ``record`` at ``dtype``; return it."""
+    arr = np.array(getattr(record, name), dtype=dtype, copy=True)
+    if at_least_1d:
+        arr = np.atleast_1d(arr)
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class NodeList:
     """An ordered multiset of energy nodes together with the time argument."""
@@ -82,13 +92,11 @@ class NodeList:
     t: float
 
     def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.array(self.nodes, dtype=np.float64, copy=True))
+        arr = _read_only(self, "nodes", np.float64, at_least_1d=True)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError(f"nodes must be a non-empty 1-d array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("nodes contain non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "nodes", arr)
         object.__setattr__(self, "t", _finite_time(self.t))
 
     @property

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .ddkernel import _CHUNK_BYTES, _finite_time, _integer
+from .ddkernel import _CHUNK_BYTES, _finite_time, _integer, _read_only
 from .model import SplitSystem, _refuse_coupled_ties
 from .series import AmplitudeMatrix
 
@@ -95,46 +95,43 @@ _REVISION_MAX = _IMPROVED_MAX + 2
 
 @dataclass(frozen=True)
 class RevisionEnergies:
-    """Per-level energy revisions of orders two through five.
+    """Per-level energy revisions of orders two through ``max_order`` (at most five).
 
     ``energies`` are the redivided level energies (diagonal perturbation
-    already absorbed, recorded in ``h1``).  ``g2`` .. ``g5`` hold one real
-    revision per level; orders above ``max_order`` were not computed and
-    are stored as zeros.  ``imag_residual`` is the largest imaginary part
-    discarded when realifying the revisions of orders two through
-    ``max_order`` — they are provably real for Hermitian couplings, so
+    already absorbed, recorded in ``h1``).  Row j - 2 of ``revisions`` holds
+    the real order-j revision of each level, j = 2..``max_order``.
+    ``imag_residual`` is the largest imaginary part discarded when
+    realifying them — they are provably real for Hermitian couplings, so
     this is a round-off diagnostic.
     """
 
     energies: NDArray[np.float64]
     h1: NDArray[np.float64]
-    g2: NDArray[np.float64]
-    g3: NDArray[np.float64]
-    g4: NDArray[np.float64]
-    g5: NDArray[np.float64]
-    max_order: int
+    revisions: NDArray[np.float64]
     imag_residual: float
 
+    # One row each, read-only; zeros for the orders above max_order, which were not computed
+    g2, g3, g4, g5 = (property(lambda self, j=j: self._padded(j)) for j in range(2, 6))
+
     def __post_init__(self) -> None:
-        energies = np.array(self.energies, dtype=float, copy=True)
+        energies = _read_only(self, "energies", float)
         if energies.ndim != 1 or energies.shape[0] == 0:
             raise ValueError("energies must be a non-empty one-dimensional array")
-        energies.setflags(write=False)
-        object.__setattr__(self, "energies", energies)
-        for name in ("h1", "g2", "g3", "g4", "g5"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            if arr.shape != energies.shape:
-                raise ValueError(f"{name} must hold one value per level")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        max_order = _integer(self.max_order, "max_order must be an integer")
-        if not 2 <= max_order <= _REVISION_MAX:
-            raise ValueError(f"max_order must lie in 2..{_REVISION_MAX}")
-        object.__setattr__(self, "max_order", max_order)
+        if _read_only(self, "h1", float).shape != energies.shape:
+            raise ValueError("h1 must hold one value per level")
+        table = _read_only(self, "revisions", float)
+        if table.shape[1:] != energies.shape or not 1 <= table.shape[0] < _REVISION_MAX:
+            raise ValueError(f"revisions must be a (max_order - 1, N) table with max_order in "
+                             f"2..{_REVISION_MAX}, got shape {table.shape}")
 
     @property
     def dimension(self) -> int:
         return self.energies.shape[0]
+
+    @property
+    def max_order(self) -> int:
+        """The highest revision order computed: the row count plus one."""
+        return self.revisions.shape[0] + 1
 
     def revision(self, order: int) -> NDArray[np.float64]:
         """The per-level revision array for one order in 2..max_order."""
@@ -152,7 +149,12 @@ class RevisionEnergies:
     def _computed(self, order: int) -> NDArray[np.float64]:
         if order > self.max_order:
             raise ValueError(f"revision order {order} was not computed (max_order={self.max_order})")
-        return getattr(self, f"g{order}")
+        return self.revisions[order - 2]
+
+    def _padded(self, order: int) -> NDArray[np.float64]:
+        if order > self.max_order:
+            return np.broadcast_to(0.0, self.energies.shape)
+        return self.revisions[order - 2]
 
 
 def revision_energies(sys: SplitSystem, max_order: int = _REVISION_MAX) -> RevisionEnergies:
@@ -184,15 +186,12 @@ def _revisions(
     why = "; the fourth- and fifth-order revision sums would divide by zero" if max_order >= 4 else ""
     # An order-m chain visits only levels within m // 2 couplings of gamma.
     _refuse_coupled_ties(sys.energies_redivided, sys.g, max_order // 2, diagonal=True, why=why)
-    levels = [shift[: sys.dimension] for shift in shifts[2 : max_order + 1]]
-    uncomputed = [np.zeros(sys.dimension)] * (_REVISION_MAX - max_order)
+    table = np.array([shift[: sys.dimension] for shift in shifts[2 : max_order + 1]])
     return RevisionEnergies(
         sys.energies_redivided,
         sys.diagonal_shift,
-        *[v.real for v in levels],
-        *uncomputed,
-        max_order=max_order,
-        imag_residual=max(float(np.max(np.abs(v.imag))) for v in levels),
+        table.real,
+        imag_residual=float(np.max(np.abs(table.imag))),
     )
 
 
@@ -424,12 +423,12 @@ def _improved_sum_grid(
     deepest = max((max(c) for c in chosen if c), default=0)
     # Order 2 at least: an order-1 call would file diag(g) as E^(2).
     shifts, states = _rayleigh_schrodinger(e, sys.g, max(deepest, top + 1, 2))
-    revisions = _revisions(sys, shifts, deepest) if deepest else None
+    table = _revisions(sys, shifts, deepest).revisions if deepest else None
     # Phases and revisions are per level, so no tie may sit on an amplitude's chain.
     _refuse_coupled_ties(e, sys.g, top, diagonal=top >= 2)
     pattern, left, right, weights = _projector_weights(e, shifts, states, top, 1)
     # E' plus each order's revisions in list order, as ``e_tilde`` adds them
-    levels = np.array([sum((revisions._computed(j) for j in c), e) for c in chosen])
+    levels = np.array([sum((table[j - 2] for j in c), e) for c in chosen])
     phases = np.exp(-1j * (ts[:, np.newaxis, np.newaxis] * levels[:, pattern[0]]))
     coefficients = np.einsum("tok,osk->tsk", phases, weights[0][orders])
     return _projector_sum(pattern, left, right, coefficients)
@@ -539,16 +538,15 @@ class GoldenRuleInput:
     initial_level: int
 
     def __post_init__(self) -> None:
-        grid = np.array(self.energy_grid, dtype=float, copy=True)
+        grid = _read_only(self, "energy_grid", float)
         if grid.ndim != 1 or grid.shape[0] < 3:
             raise ValueError("energy grid needs at least three one-dimensional samples")
         if not np.all(np.isfinite(grid)):
             raise ValueError("energy grid must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("energy grid must be strictly increasing")
-        density = np.array(self.density_of_states, dtype=float, copy=True)
-        coupling = np.array(self.coupling_profile, dtype=float, copy=True)
-        for name, arr in (("density_of_states", density), ("coupling_profile", coupling)):
+        for name in ("density_of_states", "coupling_profile"):
+            arr = _read_only(self, name, float)
             if arr.shape != grid.shape:
                 raise ValueError(f"{name} must match the energy grid shape")
             if not np.all(np.isfinite(arr)):
@@ -561,13 +559,6 @@ class GoldenRuleInput:
         level = _integer(self.initial_level, "initial_level must be an integer index")
         if level < 0:
             raise ValueError("initial_level must be non-negative")
-        for name, arr in (
-            ("energy_grid", grid),
-            ("density_of_states", density),
-            ("coupling_profile", coupling),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         object.__setattr__(self, "duration", duration)
         object.__setattr__(self, "initial_level", level)
 

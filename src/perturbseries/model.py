@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .ddkernel import _read_only
 from .oracle import hermitian_eigh
 
 __all__ = [
@@ -69,12 +70,8 @@ class SystemSpec:
     coupling_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        e = np.atleast_1d(np.array(self.energies, dtype=np.float64, copy=True))
-        m = np.array(self.h1, dtype=np.complex128, copy=True)
-        e.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "h1", m)
+        _read_only(self, "energies", np.float64, at_least_1d=True)
+        _read_only(self, "h1", np.complex128)
         object.__setattr__(self, "coupling_scale", float(self.coupling_scale))
 
     @property
@@ -107,16 +104,9 @@ class SplitSystem:
     redivided: bool = True
 
     def __post_init__(self) -> None:
-        dtypes = {
-            "energies_redivided": np.float64,
-            "g": np.complex128,
-            "basis_rotation": np.complex128,
-            "energies_original": np.float64,
-        }
-        for name, dtype in dtypes.items():
-            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, dtype in (("energies_redivided", np.float64), ("g", np.complex128),
+                            ("basis_rotation", np.complex128), ("energies_original", np.float64)):
+            _read_only(self, name, dtype)
 
     @property
     def dimension(self) -> int:

@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 # The kernel's batched entry point, bound to the name the scalar kernel had
 # here; perfbench/spans.py wraps ``series._dd_value`` as the ddkernel layer.
 from .ddkernel import _dd_blocks as _dd_value
-from .ddkernel import _finite_time, _integer
+from .ddkernel import _finite_time, _integer, _read_only
 from .model import SplitSystem
 
 __all__ = [
@@ -48,11 +48,9 @@ class AmplitudeMatrix:
     values: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.complex128, copy=True)
+        vals = _read_only(self, "values", np.complex128)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"values must be a square matrix, got shape {vals.shape}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "order", _integer(self.order, "order must be an integer"))
         object.__setattr__(self, "t", _finite_time(self.t))
 

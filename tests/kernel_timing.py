@@ -31,7 +31,10 @@ which side goes first:
   job and an N = 40 chain of compare-chain;
 - two reports through ``cli.main``: the order-6 catalog listing, and the
   order-4 ``terms`` report of the reports-mixed ``terms`` job (seed 1,
-  first variant, N = 5, its level pair) at time T.
+  first variant, N = 5, its level pair) at time T;
+- ``improved.revision_energies(sys, 4).e_tilde((2, 3, 4))``, the shifted
+  energies of the reports-mixed ``two-state`` job (N = 2) and ``energies``
+  job (N = 24), seed 1, first variant.
 
 For each case it prints the fastest and the median round of each side in
 milliseconds, the rounds in which SRC_B was faster, and the largest
@@ -192,6 +195,16 @@ def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
     out["catalog report l=6"] = lambda: _catalog_report(pkg, workdir / "catalog6.csv")
     job = _benchmark_job(workdir, "reports-mixed", 3)
     out["terms report N=5"] = lambda: _terms_report(pkg, job)
+    pair = _benchmark_job(workdir, "reports-mixed", 2)
+    two_level = pkg.model.SystemSpec(
+        energies=[pair["e1"], pair["e2"]], h1=[[0.0, pair["v"]], [pair["v"], 0.0]]
+    )
+    doc = json.loads(_benchmark_job(workdir, "reports-mixed", 0)["path"].read_text(encoding="utf-8"))
+    for n, spec in ((2, two_level), (24, pkg.cli._spec_from_document(doc, "system.json"))):
+        system = pkg.model.redivide(spec)
+        out[f"e_tilde N={n}"] = (
+            lambda system=system: pkg.improved.revision_energies(system, 4).e_tilde((2, 3, 4))
+        )
     return out
 
 

@@ -17,8 +17,11 @@ files are equal.
 reports cell by cell.  It prints how many reports are byte-identical and,
 for each (workload, kind, column) with a changed cell, the number of
 changed cells and the largest absolute and relative change (relative to
-the SRC_A cell).  A changed header line counts under the column
-``header``.  Not collected by pytest.
+the SRC_A cell).  A changed header line, column list or row count counts
+under the column ``header``.  When only the column lists differ, the cells
+of the columns both reports have are compared by name, so an added,
+dropped or moved column still leaves the others compared.  Not collected
+by pytest.
 """
 
 from __future__ import annotations
@@ -113,12 +116,14 @@ def compare_cells(before: dict[str, bytes], after: dict[str, bytes]) -> list[dic
         (head_a, cols_a, rows_a), (head_b, cols_b, rows_b) = _cells(text), _cells(after[job])
         if head_a != head_b or cols_a != cols_b or len(rows_a) != len(rows_b):
             note((workload, kind, "header"), "nan", "nan")
-        if cols_a != cols_b or len(rows_a) != len(rows_b):
+        if len(rows_a) != len(rows_b):
             continue
+        shared = [column for column in cols_a if column in cols_b]
         for row_a, row_b in zip(rows_a, rows_b):
-            for column, a, b in zip(cols_a, row_a, row_b):
-                if a != b:
-                    note((workload, kind, column), a, b)
+            cells_a, cells_b = dict(zip(cols_a, row_a)), dict(zip(cols_b, row_b))
+            for column in shared:
+                if cells_a[column] != cells_b[column]:
+                    note((workload, kind, column), cells_a[column], cells_b[column])
     return [{"workload": w, "kind": k, "column": c, **v} for (w, k, c), v in sorted(found.items())]
 
 

@@ -516,6 +516,10 @@ def test_golden_rule_command_missing_block(tmp_path, runner):
     assert not out.exists()
 
 
+# A golden_rule field left out of the block.
+_MISSING = object()
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
@@ -537,6 +541,10 @@ def test_golden_rule_command_missing_block(tmp_path, runner):
         pytest.param(
             "duration", 10**400, "golden_rule.duration must be a number", id="duration-400-digit-int"
         ),
+        *[
+            pytest.param(field, _MISSING, f"golden_rule is missing field {field!r}", id=f"{field}-missing")
+            for field in ("energy_grid", "density", "coupling_sq", "duration", "initial", "final")
+        ],
     ],
 )
 def test_golden_rule_block_refuses_a_bad_field(tmp_path, runner, field, value, message):
@@ -544,6 +552,8 @@ def test_golden_rule_block_refuses_a_bad_field(tmp_path, runner, field, value, m
     doc = golden_rule_document()
     if field is None:
         doc["golden_rule"] = value
+    elif value is _MISSING:
+        del doc["golden_rule"][field]
     else:
         doc["golden_rule"][field] = value
     inp = tmp_path / "rate.json"
@@ -965,6 +975,14 @@ def test_run_refuses_what_the_command_line_refuses(
     assert os.listdir() == ["sys.json"]
 
 
+@pytest.mark.parametrize("command,flag", [("evolve", "--order"), ("two-state", "--t-steps")])
+def test_integer_options_refuse_a_non_integer(in_fixture_dir, runner, command, flag):
+    result = runner.invoke(main, [command, *_VALID_ARGV[command], flag, "abc"])
+    assert result.exit_code == 2, result.output
+    assert result.output.rstrip().endswith(f"error: argument {flag}: 'abc' is not a valid integer")
+    assert os.listdir() == ["sys.json"]
+
+
 @pytest.mark.parametrize(
     "line,message",
     [
@@ -1151,6 +1169,21 @@ def test_run_refuses_a_command_without_its_input_file(tmp_path):
 def test_run_config_time_grid_validation():
     with pytest.raises(ValueError, match="at least one point"):
         RunConfig(command="evolve", t_steps=0).time_grid()
+
+
+@pytest.mark.parametrize("steps", [True, 2.5, np.float64(3.0)], ids=["True", "2.5", "float64"])
+def test_run_refuses_a_non_integer_t_steps(tmp_path, steps):
+    # True once wrote a one-time report headed "# t-steps: True"
+    config = RunConfig(command="two-state", output_path=str(tmp_path / "x.csv"), t_steps=steps)
+    with pytest.raises(TypeError, match=rf"^t_steps must be an integer, got {re.escape(repr(steps))}$"):
+        run(config)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_accepts_a_numpy_integer_t_steps(tmp_path):
+    out = tmp_path / "x.csv"
+    run(RunConfig(command="two-state", output_path=str(out), t_steps=np.int64(3)))
+    assert "# t-steps: 3" in out.read_text(encoding="utf-8").splitlines()
 
 
 # Runs each command once through cli.main and prints every module it loaded.

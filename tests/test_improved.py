@@ -179,32 +179,46 @@ def test_revision_energies_argument_checks(rng):
 
 
 def test_revision_energies_container_validation():
-    with pytest.raises(ValueError, match="one value per level"):
-        RevisionEnergies(
-            energies=np.zeros(2),
-            h1=np.zeros(3),
-            g2=np.zeros(2),
-            g3=np.zeros(2),
-            g4=np.zeros(2),
-            g5=np.zeros(2),
-            max_order=2,
-            imag_residual=0.0,
-        )
+    zeros = np.zeros(2)
+    with pytest.raises(ValueError, match="^energies must be a non-empty one-dimensional array$"):
+        RevisionEnergies(np.zeros((2, 2)), zeros, np.zeros((1, 2)), imag_residual=0.0)
+    with pytest.raises(ValueError, match="^energies must be a non-empty one-dimensional array$"):
+        RevisionEnergies(np.zeros(0), np.zeros(0), np.zeros((1, 0)), imag_residual=0.0)
+    with pytest.raises(ValueError, match="^h1 must hold one value per level$"):
+        RevisionEnergies(zeros, np.zeros(3), np.zeros((1, 2)), imag_residual=0.0)
+    for table in (zeros, np.zeros((1, 3)), np.zeros((1, 2, 1)), np.float64(0.0)):
+        with pytest.raises(ValueError, match=r"^revisions must be a \(max_order - 1, N\) table"):
+            RevisionEnergies(zeros, zeros, table, imag_residual=0.0)
 
 
-@pytest.mark.parametrize(
-    "max_order,error,message",
-    [
-        (1, ValueError, "^max_order must lie in 2..5$"),
-        (6, ValueError, "^max_order must lie in 2..5$"),
-        (2.5, TypeError, "^max_order must be an integer, got 2.5$"),
-    ],
-    ids=["1", "6", "2.5"],
-)
-def test_revision_energies_container_refuses_max_order_outside_2_to_5(max_order, error, message):
-    # built directly, the container checks what revision_energies checks first
-    with pytest.raises(error, match=message):
-        RevisionEnergies(np.zeros(2), *[np.zeros(2)] * 5, max_order=max_order, imag_residual=0.0)
+@pytest.mark.parametrize("max_order", [1, 6], ids=["1", "6"])
+def test_revision_energies_container_refuses_max_order_outside_2_to_5(max_order):
+    # built directly, the container's row count gives max_order, so rows
+    # outside 1..4 are what revision_energies refuses as max_order
+    table = np.zeros((max_order - 1, 2))
+    with pytest.raises(
+        ValueError,
+        match=rf"^revisions must be a \(max_order - 1, N\) table with max_order in 2\.\.5, "
+        rf"got shape \({max_order - 1}, 2\)$",
+    ):
+        RevisionEnergies(np.zeros(2), np.zeros(2), table, imag_residual=0.0)
+
+
+@pytest.mark.parametrize("max_order", [2, 3, 4, 5])
+def test_revision_table_rows_are_the_orders(max_order):
+    table = np.arange(2.0 * (max_order - 1)).reshape(max_order - 1, 2)
+    rev = RevisionEnergies(np.zeros(2), np.zeros(2), table.tolist(), imag_residual=0.0)
+    assert rev.max_order == max_order
+    assert rev.revisions.dtype == np.float64
+    for order, name in zip(range(2, 6), ("g2", "g3", "g4", "g5")):
+        row = getattr(rev, name)
+        expected = table[order - 2] if order <= max_order else np.zeros(2)
+        assert row.tobytes() == expected.tobytes() and not row.flags.writeable
+        with pytest.raises(AttributeError):
+            setattr(rev, name, expected)
+    with pytest.raises(AttributeError):
+        rev.max_order = 5
+    np.testing.assert_array_equal(rev.e_tilde(), table.sum(axis=0))
 
 
 def test_degenerate_uncoupled_level_tolerated_through_third_order():

@@ -158,6 +158,9 @@ def test_validate_reports_non_hermitian():
 
 
 def test_validate_rejects_malformed_shapes():
+    # without energies the Hermitian test would fail on an empty maximum instead
+    with pytest.raises(ValueError, match=r"^energies must be a non-empty 1-d array, got shape \(0,\)$"):
+        redivide(SystemSpec(energies=np.zeros(0), h1=np.zeros((0, 0))))
     with pytest.raises(ValueError, match="square"):
         redivide(SystemSpec(energies=np.array([0.0, 1.0]), h1=np.zeros((2, 3))))
     with pytest.raises(ValueError, match="dimension mismatch"):

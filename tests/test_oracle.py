@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -93,6 +95,14 @@ def test_diagonalize_accepts_all_three_representations(rng):
 def test_diagonalize_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)], ids=["2x3", "vector", "stack"])
+def test_hermitian_eigh_refuses_a_non_square_matrix(shape):
+    # numpy's own refusals of these shapes read differently
+    message = rf"^expected a square matrix, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        hermitian_eigh(np.zeros(shape, dtype=complex))
 
 
 def test_exact_transition_probability_scalar_and_grid(rng):
