@@ -99,10 +99,11 @@ class RevisionEnergies:
 
     ``energies`` are the redivided level energies (diagonal perturbation
     already absorbed, recorded in ``h1``).  Row j - 2 of ``revisions`` holds
-    the real order-j revision of each level, j = 2..``max_order``.
+    the real order-j revision of each level; ``g2`` .. ``g5`` read its rows,
+    and zeros for the orders above ``max_order``, which were not computed.
     ``imag_residual`` is the largest imaginary part discarded when
-    realifying them — they are provably real for Hermitian couplings, so
-    this is a round-off diagnostic.
+    realifying the revisions — they are provably real for Hermitian
+    couplings, so this is a round-off diagnostic.
     """
 
     energies: NDArray[np.float64]
@@ -110,7 +111,6 @@ class RevisionEnergies:
     revisions: NDArray[np.float64]
     imag_residual: float
 
-    # One row each, read-only; zeros for the orders above max_order, which were not computed
     g2, g3, g4, g5 = (property(lambda self, j=j: self._padded(j)) for j in range(2, 6))
 
     def __post_init__(self) -> None:
