@@ -48,7 +48,6 @@ import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -170,9 +169,15 @@ def _spec_from_document(doc: object, source: str) -> SystemSpec:
 
 def _load_document(path: str) -> object:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    # Decoded here, not by json.loads, which would also take UTF-16 and a BOM.
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -233,14 +238,12 @@ def _fmt(x: float) -> str:
 
 def _write_report(path: str, lines: Iterable[str]) -> None:
     """Write lines atomically; on failure leave nothing behind."""
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
+    data = "\n".join([*lines, ""]).encode("utf-8")
+    tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-        os.replace(tmp, target)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -275,7 +278,7 @@ def _run_evolve(cfg: RunConfig) -> _Report:
     n = sys_split.dimension
     _check_level(sys_split, cfg.initial_level, "initial level")
     ts = cfg.time_grid()
-    amps = _truncated_sum_grid(sys_split, cfg.order, ts)[:, :, cfg.initial_level]
+    amps = _truncated_sum_grid(sys_split, cfg.order, ts)[:, :, cfg.initial_level].copy()
     settings = _common_settings(cfg) | _grid_settings(cfg)
     settings |= {
         "order": cfg.order,
@@ -283,7 +286,8 @@ def _run_evolve(cfg: RunConfig) -> _Report:
         "basis": "redivided working basis",
     }
     columns = ["t", *(f"c{j}_{part}" for j in range(n) for part in ("re", "im")), "norm"]
-    parts = np.stack([amps.real, amps.imag], axis=2).reshape(len(ts), 2 * n)
+    # A C-ordered copy's float64 view holds each row's parts interleaved: re, im, re, ...
+    parts = amps.view(np.float64)
     return settings, columns, np.column_stack([ts, parts, np.linalg.norm(amps, axis=1)]).tolist()
 
 

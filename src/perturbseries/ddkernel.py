@@ -51,6 +51,10 @@ _SCALE_LIMIT = 0.5
 #: only add zero coefficients.
 _INV_FACTORIALS = tuple(1 / factorial(k) for k in range(179))
 
+#: k! for k = 0..170, the last k whose factorial is a finite float: the
+#: divisors of `_taylor`'s coefficients.
+_FACTORIALS = np.array([float(factorial(k)) for k in range(171)])
+
 #: Bytes of block array that `_dd_blocks` carries per chunk of rows (one
 #: row per distinct scaled step).  The chunk's block-sized buffers then stay
 #: in a 2 MB L2 cache; with all 101 times in one chunk, the whole-array
@@ -263,7 +267,7 @@ def _taylor(
     step, centered = (step.view(np.float64) / unit).view(np.complex128), unit * centered
     g = (unit * np.ascontiguousarray(g).view(np.float64)).view(np.complex128)
     rows, n, degree = step.shape[0], centered.shape[0], _TAYLOR_ORDER + L
-    factorials = np.array([float(factorial(j)) for j in range(degree + 1)])[:, None, None]
+    factorials = _FACTORIALS[: degree + 1, None, None]
     # The coefficients and energies spread to the shapes they update, so
     # those updates run as flat loops: broadcasting costs a few us a call.
     coef = np.repeat(step[:, None] ** np.arange(degree + 1)[:, None, None] / factorials, n, axis=2)
@@ -295,25 +299,33 @@ def _centered_blocks(
 
     One chunk of rows, sorted by squaring depth: row r is `_taylor`'s
     polynomial of ``step[r]`` times the block matrix, squared ``depth[r]``
-    times, in place.  Each pass works on the trailing slice of rows still
-    short of their depth.  Yields the (L, rows, N, N) block array before the
+    times.  Each pass works on the trailing slice of rows still short of
+    their depth.  Yields the (L, rows, N, N) block array before the
     first pass and after every pass: after pass p, every row of depth p or
-    more holds p squarings.  A squaring adds its block products with one
-    batched product per left factor, in the order of the per-order loop.
+    more holds p squarings, and every other row its final blocks.  A
+    squaring adds its block products with one batched product per left
+    factor, in the order of the per-order loop.
+
+    Two block arrays take turns: a pass reads one and writes its square
+    into the other, which it then yields.  Rows that reached their depth at
+    the pass before are first copied across, so each finished row is copied
+    once and the array yielded last holds every row.
     """
     r0, upper = _taylor(step, centered, g, L)
-    acc, prod = np.empty_like(upper), np.empty_like(upper)
+    other, prod = np.empty_like(upper), np.empty_like(upper)
     yield upper
+    copied = 0
     for first in np.searchsorted(depth, np.arange(depth[-1]), side="right"):
-        a0, blocks, square, part = r0[first:], upper[:, first:], acc[:, first:], prod[:, first:]
+        other[:, copied:first] = upper[:, copied:first]
+        a0, blocks, square, part = r0[first:], upper[:, first:], other[:, first:], prod[:, first:]
         # Block l of the square is a0 r_l + r_l a0 = r_l * (a0_a + a0_b) plus
         # sum_{i=1}^{l-1} r_i @ r_{l-i}, the products added in increasing i.
         np.multiply(blocks, a0[:, :, None] + a0[:, None, :], out=square)
         for i in range(1, L):
             np.matmul(blocks[i - 1], blocks[: L - i], out=part[: L - i])
             square[i:] += part[: L - i]
-        blocks[...] = square
-        r0[first:] = a0 * a0
+        a0 *= a0
+        upper, other, copied = other, upper, first
         yield upper
 
 

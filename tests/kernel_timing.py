@@ -34,7 +34,10 @@ which side goes first:
   first variant, N = 5, its level pair) at time T;
 - ``improved.revision_energies(sys, 4).e_tilde((2, 3, 4))``, the shifted
   energies of the reports-mixed ``two-state`` job (N = 2) and ``energies``
-  job (N = 24), seed 1, first variant.
+  job (N = 24), seed 1, first variant;
+- two ``evolve`` reports through ``cli.main``, the evolve-dense jobs at
+  2 times of N = 5, L = 4 and N = 4, L = 6 (seed 1, first variant),
+  compared byte by byte but for the ``# input:`` line.
 
 For each case it prints the fastest and the median round of each side in
 milliseconds, the rounds in which SRC_B was faster, and the largest
@@ -127,6 +130,20 @@ def _terms_report(pkg: SimpleNamespace, job: dict) -> np.ndarray:
     return _report_values(out, 2)
 
 
+def _evolve_report(pkg: SimpleNamespace, job: dict) -> np.ndarray:
+    """An evolve report byte by byte, but for its ``# input:`` line, which
+    names each side's own copy of the input file."""
+    out = job["path"].with_suffix(".evolve.csv")
+    start, end, steps = job["ts"]
+    argv = ["evolve", "--input", str(job["path"]), "--output", str(out), "--order", str(job["order"]),
+            "--initial", str(job["initial"]), "--t-start", repr(start), "--t-end", repr(end),
+            "--t-steps", str(steps)]
+    pkg.cli.main(argv, standalone_mode=False)
+    lines = out.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.startswith(b"# input: "))
+    return np.frombuffer(kept, dtype=np.uint8).astype(float)
+
+
 def _chain_case(
     pkg: SimpleNamespace, rng: np.random.Generator, workdir: Path, n: int
 ) -> tuple[object, Path]:
@@ -205,6 +222,10 @@ def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
         out[f"e_tilde N={n}"] = (
             lambda system=system: pkg.improved.revision_energies(system, 4).e_tilde((2, 3, 4))
         )
+    for slot in (4, 5):
+        evolve = _benchmark_job(workdir, "evolve-dense", slot)
+        name = f"evolve report N={evolve['system'].energies.shape[0]} L={evolve['order']}"
+        out[name] = lambda evolve=evolve: _evolve_report(pkg, evolve)
     return out
 
 

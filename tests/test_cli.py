@@ -1012,6 +1012,109 @@ def test_a_report_that_cannot_replace_its_target_leaves_no_temporary_file(in_fix
     assert os.listdir("out.csv") == []
 
 
+def test_an_output_path_ending_in_a_separator_is_refused(in_fixture_dir, runner):
+    result = runner.invoke(main, ["evolve", "--input", "sys.json", "--output", f"out{os.sep}"])
+    assert result.exit_code == 1, result.output
+    assert os.listdir() == ["sys.json"]
+
+
+@pytest.mark.parametrize("argv", [["--t-end", "inf"], ["--initial", "9"]], ids=["t-end", "initial"])
+def test_a_refused_run_leaves_an_existing_report_intact(in_fixture_dir, runner, argv):
+    assert runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"]]).exit_code == 0
+    report = Path("out.csv").read_bytes()
+    result = runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"], *argv])
+    assert result.exit_code == 1, result.output
+    assert Path("out.csv").read_bytes() == report
+    assert sorted(os.listdir()) == ["out.csv", "sys.json"]
+
+
+def test_a_failed_replace_leaves_an_existing_report_intact(in_fixture_dir, runner, monkeypatch):
+    assert runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"]]).exit_code == 0
+    report = Path("out.csv").read_bytes()
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    result = runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"], "--order", "2"])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: cannot replace out.csv")
+    assert Path("out.csv").read_bytes() == report
+    assert sorted(os.listdir()) == ["out.csv", "sys.json"]
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_every_command_reads_and_writes_through_the_cli_boundaries(
+    in_fixture_dir, runner, monkeypatch, command
+):
+    # the benchmark's trace times these two names as cli.parse and cli.write
+    calls = []
+    for name in ("_load_document", "_write_report"):
+        original = getattr(perturbseries.cli, name)
+
+        def spy(path, *rest, name=name, original=original):
+            calls.append((name, path))
+            return original(path, *rest)
+
+        monkeypatch.setattr(perturbseries.cli, name, spy)
+    argv = _VALID_ARGV[command]
+    assert runner.invoke(main, [command, *argv]).exit_code == 0
+    reads = [("_load_document", "sys.json")] if "--input" in argv else []
+    assert calls == [*reads, ("_write_report", "out.csv")]
+
+
+def test_terms_without_input_reads_nothing(in_fixture_dir, runner, monkeypatch):
+    calls = []
+    monkeypatch.setattr(perturbseries.cli, "_load_document", calls.append)
+    assert runner.invoke(main, ["terms", "--output", "out.csv", "--order", "4"]).exit_code == 0
+    assert calls == []
+    assert Path("out.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# input decoding: strict UTF-8 before JSON
+
+
+def test_an_input_with_a_byte_order_mark_is_refused(in_fixture_dir, runner):
+    Path("sys.json").write_bytes(b"\xef\xbb\xbf" + Path("sys.json").read_bytes())
+    result = runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"]])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: sys.json: not valid JSON (Unexpected UTF-8 BOM")
+    assert os.listdir() == ["sys.json"]
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le"])
+def test_a_utf16_input_is_refused(in_fixture_dir, runner, encoding):
+    Path("sys.json").write_text(json.dumps(golden_rule_document()), encoding=encoding)
+    result = runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"]])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("Error: sys.json: not valid ")
+    assert os.listdir() == ["sys.json"]
+
+
+def test_an_input_that_is_not_utf8_is_refused_by_name(in_fixture_dir, runner):
+    Path("sys.json").write_bytes(b"\xff" + Path("sys.json").read_bytes())
+    result = runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"]])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(
+        "Error: sys.json: not valid UTF-8 ('utf-8' codec can't decode byte 0xff in position 0"
+    )
+    assert os.listdir() == ["sys.json"]
+
+
+def test_crlf_line_endings_read_as_lf(in_fixture_dir, runner):
+    text = json.dumps(golden_rule_document(), indent=1)
+    Path("lf.json").write_bytes(text.encode("utf-8"))
+    Path("crlf.json").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    rows = []
+    for name in ("lf", "crlf"):
+        argv = ["evolve", "--input", f"{name}.json", "--output", f"{name}.csv", "--order", "3"]
+        assert runner.invoke(main, argv).exit_code == 0
+        comments, columns, cells = read_report(Path(f"{name}.csv"))
+        rows.append((columns, cells))
+    assert rows[0] == rows[1]
+
+
 def _non_finite(doc, *where):
     *path, last = where
     for key in path:
