@@ -1,8 +1,12 @@
 """Batch command-line front end: read a system file, run one experiment,
 write a CSV report.
 
-The tool is a stdlib ``argparse`` parser named ``perturbseries`` with six
-subcommands:
+The tool, ``perturbseries``, has six subcommands, whose options are
+declared once, in ``_COMMANDS``.  A plain command line (the command, then
+whole ``--flag VALUE`` and ``--switch`` tokens) is read in one pass over
+that table; every other line goes to a stdlib ``argparse`` parser built
+from the same table, which alone writes help, version text and usage
+errors.  The subcommands:
 
 ``evolve``
     Truncated-series evolution of a basis state: per-time amplitudes and
@@ -33,8 +37,8 @@ version and the run configuration; complex quantities occupy two columns
 (real, imaginary).  Identical configuration and input bytes produce
 byte-identical reports.  On any error no partial output file is left
 behind, and the exit status is 2 for a bad command line (an unknown,
-abbreviated, missing or out-of-range option) and 1 for input the run
-refuses.
+abbreviated or missing option, an option without its value, or a value
+that is not a number or out of range) and 1 for input the run refuses.
 """
 
 from __future__ import annotations
@@ -237,17 +241,26 @@ def _fmt(x: float) -> str:
 
 
 def _write_report(path: str, lines: Iterable[str]) -> None:
-    """Write lines atomically; on failure leave nothing behind."""
+    """Write lines atomically; on failure leave nothing behind.
+
+    Raises:
+        OSError: ``cannot write <path>: <reason>``, caused by the error of
+            the temporary file or of its replacing ``path``.
+    """
     data = "\n".join([*lines, ""]).encode("utf-8")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        # the reason without the file names, which would name the temporary file
+        reason = f"[Errno {exc.errno}] {exc.strerror}" if exc.strerror else str(exc)
+        raise OSError(f"cannot write {path}: {reason}") from exc
 
 
 def _common_settings(cfg: RunConfig) -> dict[str, object]:
@@ -500,14 +513,17 @@ class _IntRange:
         return value
 
 
+# argparse's own pattern misses exponents and infinities, and would read
+# '--t-start -1e-3' as a missing value; no option here starts '-<digit>'.
+_NEGATIVE_NUMBER = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError instead of exiting, and takes '-1e-3' or '-inf' as a value."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(allow_abbrev=False, **kwargs)
-        # argparse's own pattern misses exponents and infinities, and would
-        # read '--t-start -1e-3' as a missing value; no option here starts '-<digit>'.
-        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
@@ -639,6 +655,53 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Per command: its options by flag, its parsed options before any flag is
+# read (in the parser's key order), and its required flags.
+_LINES = {
+    name: (
+        {opt.flag: opt for opt in options},
+        {"command": name} | {opt.dest: opt.default for opt in options},
+        frozenset(opt.flag for opt in options if opt.required),
+    )
+    for name, (_, options) in _COMMANDS.items()
+}
+
+
+def _read_line(argv: Sequence[str]) -> dict[str, object] | None:
+    """What ``vars(_parser().parse_args(argv))`` returns for a plain line, else None.
+
+    A plain line is a command followed by ``--flag VALUE`` and ``--switch``
+    tokens: each flag spelled out in full, each value one that its option's
+    type takes and that starts with '-' only as a negative number, and each
+    required flag present.  As in the parser, a later repeat of a flag
+    wins.  Any other line, help, version and usage errors included, is left
+    to the parser, so that it alone writes their text.
+    """
+    tokens = iter(argv)
+    line = _LINES.get(next(tokens, None))
+    if line is None:
+        return None
+    flags, defaults, required = line
+    options = dict(defaults)
+    missing = set(required)
+    for flag in tokens:
+        opt = flags.get(flag)
+        if opt is None:
+            return None
+        if opt.type is None:
+            options[opt.dest] = False
+            continue
+        value = next(tokens, None)
+        if value is None or (value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
+            return None
+        try:
+            options[opt.dest] = opt.type(value)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        missing.discard(flag)
+    return None if missing else options
+
+
 def main(argv: Sequence[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command line; ``argv`` defaults to ``sys.argv[1:]``.
 
@@ -649,13 +712,17 @@ def main(argv: Sequence[str] | None = None, standalone_mode: bool = True) -> Non
     ``--help`` and ``--version`` return after printing; nothing raises
     SystemExit.  A failed run writes no report.
     """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        try:
-            options = vars(_parser().parse_args(argv))
-        except SystemExit:  # --help or --version has printed
-            if standalone_mode:
-                raise
-            return
+        options = _read_line(argv)
+        if options is None:
+            try:
+                options = vars(_parser().parse_args(argv))
+            except SystemExit:  # --help or --version has printed
+                if standalone_mode:
+                    raise
+                return
         if "g_orders" in options:
             options["g_orders"] = _parse_g_orders(options["g_orders"])
         run(RunConfig(**options))

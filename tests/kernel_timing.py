@@ -37,7 +37,11 @@ which side goes first:
   job (N = 24), seed 1, first variant;
 - two ``evolve`` reports through ``cli.main``, the evolve-dense jobs at
   2 times of N = 5, L = 4 and N = 4, L = 6 (seed 1, first variant),
-  compared byte by byte but for the ``# input:`` line.
+  compared byte by byte but for the ``# input:`` line;
+- command line to ``RunConfig``: the command line of the first job of each
+  benchmark job kind (seed 1, cycle 0; paths relative to the side's
+  directory) through ``cli.main`` with ``cli.run`` replaced by a recorder,
+  compared as the bytes of the recorded config's ``repr``.
 
 For each case it prints the fastest and the median round of each side in
 milliseconds, the rounds in which SRC_B was faster, and the largest
@@ -226,17 +230,38 @@ def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
         evolve = _benchmark_job(workdir, "evolve-dense", slot)
         name = f"evolve report N={evolve['system'].energies.shape[0]} L={evolve['order']}"
         out[name] = lambda evolve=evolve: _evolve_report(pkg, evolve)
+    for name in ("evolve-dense", "compare-chain", "reports-mixed"):
+        for line in _workload(workdir, name).cycle(0):
+            argv = [os.path.relpath(arg, workdir) if arg.startswith(str(workdir)) else arg
+                    for arg in line.argv]
+            out.setdefault(f"argv {line.kind}", lambda argv=argv: _run_config(pkg, argv))
     return out
 
 
-def _benchmark_job(workdir: Path, name: str, slot: int) -> dict:
-    """The first variant of a benchmark job slot, seed 1, with its system file written."""
+def _workload(workdir: Path, name: str) -> object:
+    """A benchmark workload, seed 1, with its system files written."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return workloads.Workload(name, 1, workdir / name).slots[slot][0]
+    return workloads.Workload(name, 1, workdir / name)
+
+
+def _benchmark_job(workdir: Path, name: str, slot: int) -> dict:
+    """The first variant of a benchmark job slot, seed 1, with its system file written."""
+    return _workload(workdir, name).slots[slot][0]
+
+
+def _run_config(pkg: SimpleNamespace, argv: list[str]) -> np.ndarray:
+    """The bytes of the repr of the RunConfig that ``cli.main`` hands to ``cli.run``."""
+    seen = []
+    run, pkg.cli.run = pkg.cli.run, seen.append
+    try:
+        pkg.cli.main(argv, standalone_mode=False)
+    finally:
+        pkg.cli.run = run
+    return np.frombuffer(repr(seen[0]).encode(), dtype=np.uint8).astype(float)
 
 
 def _parsed(pkg: SimpleNamespace, doc: dict) -> np.ndarray:

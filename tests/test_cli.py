@@ -19,7 +19,9 @@ import perturbseries
 from perturbseries.cli import (
     _COMMANDS,
     RunConfig,
+    UsageError,
     _parse_g_orders,
+    _read_line,
     main,
     parse_spec_file,
     run,
@@ -992,7 +994,7 @@ def test_integer_options_refuse_a_non_integer(in_fixture_dir, runner, command, f
         ("two-state --t-end -inf", "--t-end must be a finite number, got -inf"),
         ("compare --g-orders 2,9", "--g-orders entries must be distinct integers in 2..5"),
         ("energies --g-orders two", "--g-orders must be 'none', a comma list"),
-        ("evolve --output missing/out.csv", "[Errno 2] No such file or directory: 'missing/out.csv.tmp'"),
+        ("evolve --output missing/out.csv", "cannot write missing/out.csv: [Errno 2] No such file or directory\n"),
     ],
 )
 def test_refused_input_exits_1_and_writes_nothing(in_fixture_dir, runner, line, message):
@@ -1007,7 +1009,7 @@ def test_a_report_that_cannot_replace_its_target_leaves_no_temporary_file(in_fix
     os.mkdir("out.csv")
     result = runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"]])
     assert result.exit_code == 1, result.output
-    assert result.output.startswith("Error: [Errno 21] Is a directory: 'out.csv.tmp' -> 'out.csv'")
+    assert result.output.startswith("Error: cannot write out.csv: [Errno 21] Is a directory\n")
     assert sorted(os.listdir()) == ["out.csv", "sys.json"]
     assert os.listdir("out.csv") == []
 
@@ -1038,9 +1040,19 @@ def test_a_failed_replace_leaves_an_existing_report_intact(in_fixture_dir, runne
     monkeypatch.setattr(os, "replace", refuse)
     result = runner.invoke(main, ["evolve", *_VALID_ARGV["evolve"], "--order", "2"])
     assert result.exit_code == 1, result.output
-    assert result.output.startswith("Error: cannot replace out.csv")
+    assert result.output.startswith("Error: cannot write out.csv: cannot replace out.csv")
     assert Path("out.csv").read_bytes() == report
     assert sorted(os.listdir()) == ["out.csv", "sys.json"]
+
+
+def test_a_write_error_keeps_the_error_that_caused_it(in_fixture_dir):
+    argv = ["evolve", "--input", "sys.json", "--output", os.path.join("missing", "out.csv")]
+    with pytest.raises(OSError) as refused:
+        main(argv, standalone_mode=False)
+    assert str(refused.value).startswith(f"cannot write {argv[-1]}: ")
+    assert isinstance(refused.value.__cause__, FileNotFoundError)
+    assert refused.value.__cause__.filename == f"{argv[-1]}.tmp"
+    assert os.listdir() == ["sys.json"]
 
 
 @pytest.mark.parametrize("command", sorted(_VALID_ARGV))
@@ -1178,6 +1190,49 @@ def test_negative_numbers_in_any_spelling_are_option_values(monkeypatch, runner,
     result = runner.invoke(main, ["two-state", "--output", "o.csv", "--e1", text, "--t-start", text])
     assert result.exit_code == 0, result.output
     assert (seen[0].e1, seen[0].t_start) == (float(text), float(text))
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_a_plain_command_line_runs_without_building_the_parser(
+    in_fixture_dir, runner, monkeypatch, command
+):
+    def refuse():
+        raise AssertionError("the argparse parser was built")
+
+    monkeypatch.setattr(perturbseries.cli, "_parser", refuse)
+    result = runner.invoke(main, [command, *_VALID_ARGV[command]])
+    assert result.exit_code == 0, result.output
+    assert Path("out.csv").exists()
+
+
+def test_a_flag_joined_to_its_value_is_read_by_the_parser(monkeypatch, runner):
+    line = ["evolve", "--input", "in.json", "--output", "o.csv", "--t-end=5"]
+    assert _read_line(line) is None
+    seen = []
+    monkeypatch.setattr("perturbseries.cli.run", seen.append)
+    result = runner.invoke(main, line)
+    assert result.exit_code == 0, result.output
+    assert seen[0].t_end == 5.0
+
+
+def test_a_negative_number_after_a_flag_is_its_value(monkeypatch, runner):
+    line = ["evolve", "--input", "in.json", "--output", "o.csv", "--t-start", "-1e-3"]
+    assert _read_line(line)["t_start"] == -1e-3
+    seen = []
+    monkeypatch.setattr("perturbseries.cli.run", seen.append)
+    assert runner.invoke(main, line).exit_code == 0
+    assert seen[0].t_start == -1e-3
+
+
+def test_a_dash_word_after_a_flag_is_a_missing_value(in_fixture_dir, runner):
+    line = ["evolve", "--input", "-x", "--output", "out.csv"]
+    assert _read_line(line) is None
+    result = runner.invoke(main, line)
+    assert result.exit_code == 2, result.output
+    assert result.output.rstrip().endswith("error: argument --input: expected one argument")
+    with pytest.raises(UsageError):
+        main(line, standalone_mode=False)
+    assert os.listdir() == ["sys.json"]
 
 
 # ---------------------------------------------------------------------------
