@@ -209,13 +209,15 @@ def cases(pkg: SimpleNamespace, workdir: Path) -> dict[str, object]:
     energies, h1 = _chain(rng, 40)
     system = pkg.model.redivide(pkg.model.SystemSpec(energies=energies, h1=h1))
     ts = np.linspace(20.0, 40.0, 1001)
-    out["improved N=40 T=1001"] = lambda: pkg.improved._improved_sum_grid(system, range(4), ts)
+    out["improved N=40 T=1001"] = (
+        lambda system=system, ts=ts: pkg.improved._improved_sum_grid(system, range(4), ts)
+    )
     for name, slot, n in (("reports-mixed", 0, 24), ("compare-chain", -1, 40)):
         doc = json.loads(_benchmark_job(workdir, name, slot)["path"].read_text(encoding="utf-8"))
         out[f"parse N={n}"] = lambda doc=doc: _parsed(pkg, doc)
     out["catalog report l=6"] = lambda: _catalog_report(pkg, workdir / "catalog6.csv")
     job = _benchmark_job(workdir, "reports-mixed", 3)
-    out["terms report N=5"] = lambda: _terms_report(pkg, job)
+    out["terms report N=5"] = lambda job=job: _terms_report(pkg, job)
     pair = _benchmark_job(workdir, "reports-mixed", 2)
     two_level = pkg.model.SystemSpec(
         energies=[pair["e1"], pair["e2"]], h1=[[0.0, pair["v"]], [pair["v"], 0.0]]

@@ -994,7 +994,7 @@ def test_integer_options_refuse_a_non_integer(in_fixture_dir, runner, command, f
         ("two-state --t-end -inf", "--t-end must be a finite number, got -inf"),
         ("compare --g-orders 2,9", "--g-orders entries must be distinct integers in 2..5"),
         ("energies --g-orders two", "--g-orders must be 'none', a comma list"),
-        ("evolve --output missing/out.csv", "cannot write missing/out.csv: [Errno 2] No such file or directory\n"),
+        ("evolve --output missing/out.csv", "cannot write missing/out.csv: [Errno 2] No such file or directory"),
     ],
 )
 def test_refused_input_exits_1_and_writes_nothing(in_fixture_dir, runner, line, message):
@@ -1049,7 +1049,7 @@ def test_a_write_error_keeps_the_error_that_caused_it(in_fixture_dir):
     argv = ["evolve", "--input", "sys.json", "--output", os.path.join("missing", "out.csv")]
     with pytest.raises(OSError) as refused:
         main(argv, standalone_mode=False)
-    assert str(refused.value).startswith(f"cannot write {argv[-1]}: ")
+    assert str(refused.value) == f"cannot write {argv[-1]}: [Errno 2] No such file or directory"
     assert isinstance(refused.value.__cause__, FileNotFoundError)
     assert refused.value.__cause__.filename == f"{argv[-1]}.tmp"
     assert os.listdir() == ["sys.json"]
@@ -1215,13 +1215,10 @@ def test_a_flag_joined_to_its_value_is_read_by_the_parser(monkeypatch, runner):
     assert seen[0].t_end == 5.0
 
 
-def test_a_negative_number_after_a_flag_is_its_value(monkeypatch, runner):
-    line = ["evolve", "--input", "in.json", "--output", "o.csv", "--t-start", "-1e-3"]
-    assert _read_line(line)["t_start"] == -1e-3
-    seen = []
-    monkeypatch.setattr("perturbseries.cli.run", seen.append)
-    assert runner.invoke(main, line).exit_code == 0
-    assert seen[0].t_start == -1e-3
+@pytest.mark.parametrize("text", ["-1e-3", "-.5", "-2", "-inf"])
+def test_the_table_pass_reads_a_negative_number_as_a_value(text):
+    line = ["evolve", "--input", "in.json", "--output", "o.csv", "--t-start", text]
+    assert _read_line(line)["t_start"] == float(text)
 
 
 def test_a_dash_word_after_a_flag_is_a_missing_value(in_fixture_dir, runner):
